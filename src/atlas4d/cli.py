@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metrics as met
 from . import phantom as ph
-from .network import InrModel, load_checkpoint, save_checkpoint
+from .network import CheckpointError, InrModel, load_checkpoint, save_checkpoint
 from .optimizer import LrSchedule, lr_at
 from .training import (
     TrainConfig,
@@ -353,6 +353,10 @@ def cmd_infer(cfg: RunConfig, times=None, scale=None) -> None:
     m1, m2 = _load_pair(run_dir, stage)
 
     meta = m1.meta
+    if meta.get("dims") is None:
+        raise CheckpointError(
+            f"checkpoint has no 'dims' meta: {run_dir / f'model1_{stage}.ckpt'}"
+        )
     if times is None:
         times = cfg["infer.times"] or meta.get("times")
     if not times:
@@ -362,12 +366,7 @@ def cmd_infer(cfg: RunConfig, times=None, scale=None) -> None:
     if scale <= 0:
         raise ConfigError("infer.scale must be positive")
 
-    base_dims = meta.get("dims")
-    if base_dims is None:
-        # dims were not recorded before training; fall back to the manifest
-        series, _ = _load_training_series(cfg)
-        base_dims = list(series.dims)
-    dims = tuple(max(1, round(d * scale)) for d in base_dims)
+    dims = tuple(max(1, round(d * scale)) for d in meta["dims"])
     spacing = tuple(s / scale for s in meta.get("spacing", (1.0, 1.0, 1.0)))
     scale_pair = meta.get("intensity_scale")
     recon = reconstruct(m1, m2, dims, spacing, times,

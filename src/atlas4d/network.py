@@ -7,13 +7,22 @@ layers, the raw input features are concatenated back onto the hidden state,
 so the following layer sees hidden_width + input_dim inputs.
 
 Everything is float64. Train-mode forward normalizes with batch statistics
-and updates running statistics; eval-mode forward uses running statistics
-and is a pure function of (parameters, input).
+and updates running statistics. Eval-mode forward is a pure function of
+(parameters, input): with running statistics, batch norm is a fixed affine
+map, so each hidden layer is folded into one Linear -> ReLU with
+    scale = gamma / sqrt(running_var + eps)
+    W' = W * scale[:, None]
+    b' = (b - running_mean) * scale + beta
+The fold is recomputed from the live arrays on every call (a few small
+vector ops per layer), so in-place parameter updates are always seen. ReLU
+runs in place, and at skip layers it writes into a buffer whose tail
+already holds the raw input, so no concatenation copy is made.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -25,7 +34,12 @@ from .encoding import FourierEncoder
 
 
 class CheckpointError(RuntimeError):
-    """Checkpoint file is unreadable: bad magic, version, checksum, or size."""
+    """Checkpoint file is unreadable or malformed; the message names the file.
+
+    Raised for a bad magic, version, checksum or size, undecodable metadata,
+    an unknown array dtype, and arrays missing or shaped unlike the stored
+    architecture.
+    """
 
 
 @dataclass
@@ -155,8 +169,9 @@ class InrModel:
             raise ValueError(
                 f"feature width mismatch: got {x.shape}, need (*, {self.cfg.input_dim})"
             )
-        train = self.mode == "train"
-        if train and x.shape[0] < 2:
+        if self.mode != "train":
+            return self._forward_eval(x), None
+        if x.shape[0] < 2:
             raise ValueError("train-mode forward needs a batch of at least 2")
 
         cfg = self.cfg
@@ -170,45 +185,58 @@ class InrModel:
             inputs.append(a)
             z = a @ self.weights[j - 1].T
             z += self.biases[j - 1]
-            if train:
-                mu = z.mean(axis=0)
-                xhat = z
-                xhat -= mu
-                var = np.einsum("ij,ij->j", xhat, xhat) / batch
-                inv = 1.0 / np.sqrt(var + eps)
-                xhat *= inv
-                self.bn_mean[j - 1] *= 1.0 - mom
-                self.bn_mean[j - 1] += mom * mu
-                self.bn_var[j - 1] *= 1.0 - mom
-                self.bn_var[j - 1] += mom * var
-            else:
-                inv = 1.0 / np.sqrt(self.bn_var[j - 1] + eps)
-                xhat = z
-                xhat -= self.bn_mean[j - 1]
-                xhat *= inv
+            mu = z.mean(axis=0)
+            xhat = z
+            xhat -= mu
+            var = np.einsum("ij,ij->j", xhat, xhat) / batch
+            inv = 1.0 / np.sqrt(var + eps)
+            xhat *= inv
+            self.bn_mean[j - 1] *= 1.0 - mom
+            self.bn_mean[j - 1] += mom * mu
+            self.bn_var[j - 1] *= 1.0 - mom
+            self.bn_var[j - 1] += mom * var
             h = xhat * self.bn_gamma[j - 1]
             h += self.bn_beta[j - 1]
             mask = h > 0.0
             a = np.maximum(h, 0.0)
             if j in cfg.skip_layers:
                 a = np.concatenate([a, x], axis=1)
-            if train:
-                xhats.append(xhat)
-                inv_stds.append(inv)
-                masks.append(mask)
+            xhats.append(xhat)
+            inv_stds.append(inv)
+            masks.append(mask)
 
         inputs.append(a)
         y = a @ self.weights[-1].T
         y += self.biases[-1]
-        y = y.ravel()
-
-        if not train:
-            return y, None
         cache = ForwardCache(
             model_id=id(self), version=self._version, x=x,
             inputs=inputs, xhat=xhats, inv_std=inv_stds, relu_mask=masks,
         )
-        return y, cache
+        return y.ravel(), cache
+
+    def _forward_eval(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward with batch norm folded into each hidden layer."""
+        cfg = self.cfg
+        width = cfg.hidden_width
+        a = x
+        for j in range(1, cfg.n_layers):
+            scale = self.bn_gamma[j - 1] / np.sqrt(self.bn_var[j - 1] + cfg.bn_epsilon)
+            w = self.weights[j - 1] * scale[:, None]
+            b = (self.biases[j - 1] - self.bn_mean[j - 1]) * scale
+            b += self.bn_beta[j - 1]
+            if j in cfg.skip_layers:
+                out = np.empty((x.shape[0], width + cfg.input_dim))
+                out[:, width:] = x
+                h = out[:, :width]
+                np.matmul(a, w.T, out=h)
+            else:
+                out = h = a @ w.T
+            h += b
+            np.maximum(h, 0.0, out=h)
+            a = out
+        y = a @ self.weights[-1].T
+        y += self.biases[-1]
+        return y.ravel()
 
     def backward(self, cache: ForwardCache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given dLoss/dOutput for the batch.
@@ -231,12 +259,12 @@ class InrModel:
         dz = d_out[:, None]
         grads[f"w{n}"] = dz.T @ cache.inputs[-1]
         grads[f"b{n}"] = dz.sum(axis=0)
-        da = dz @ self.weights[-1]
 
         batch = cache.x.shape[0]
         for j in range(n - 1, 0, -1):
-            if j in cfg.skip_layers:
-                da = da[:, : cfg.hidden_width]  # the raw-input slots end here
+            # Gradient of layer j's activation: the leading hidden_width input
+            # columns of layer j + 1 (past them sit the raw-input skip slots).
+            da = dz @ self.weights[j][:, : cfg.hidden_width]
             dh = da * cache.relu_mask[j - 1]
             xhat = cache.xhat[j - 1]
             grads[f"bn_g{j}"] = np.einsum("ij,ij->j", dh, xhat)
@@ -249,7 +277,6 @@ class InrModel:
             dz *= cache.inv_std[j - 1]
             grads[f"w{j}"] = dz.T @ cache.inputs[j - 1]
             grads[f"b{j}"] = dz.sum(axis=0)
-            da = dz @ self.weights[j - 1]
         return grads
 
     def predict(self, points: np.ndarray) -> np.ndarray:
@@ -350,23 +377,53 @@ def _unpack_container(blob: bytes, path) -> tuple[dict, dict[str, np.ndarray]]:
     (meta_len,) = take("<I")
     if off + meta_len > len(body):
         raise CheckpointError(f"corrupt checkpoint: truncated ({path})")
-    meta = json.loads(body[off:off + meta_len].decode("utf-8"))
+    try:
+        meta = json.loads(body[off:off + meta_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint: undecodable meta: {exc} ({path})") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"corrupt checkpoint: meta is not an object ({path})")
     off += meta_len
     (n_arrays,) = take("<I")
     arrays = {}
     for _ in range(n_arrays):
         (name_len,) = take("<H")
-        name = body[off:off + name_len].decode("utf-8")
+        try:
+            name = body[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"corrupt checkpoint: undecodable array name ({path})") from exc
         off += name_len
         code, ndim = take("<BB")
         shape = take(f"<{ndim}q") if ndim else ()
         (nbytes,) = take("<Q")
+        if code not in _DTYPE_CODES:
+            raise CheckpointError(
+                f"corrupt checkpoint: unknown dtype code {code} for array {name!r} ({path})"
+            )
+        dtype = np.dtype(_DTYPE_CODES[code])
+        if any(d < 0 for d in shape) or nbytes != dtype.itemsize * math.prod(shape):
+            raise CheckpointError(
+                f"corrupt checkpoint: array {name!r} holds {nbytes} bytes, "
+                f"not a {dtype} array of shape {shape} ({path})"
+            )
         if off + nbytes > len(body):
             raise CheckpointError(f"corrupt checkpoint: truncated ({path})")
-        arr = np.frombuffer(body[off:off + nbytes], dtype=_DTYPE_CODES[code])
+        arr = np.frombuffer(body[off:off + nbytes], dtype=dtype)
         arrays[name] = arr.reshape(shape).copy()
         off += nbytes
     return meta, arrays
+
+
+def _expected_shapes(cfg: MlpConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every state_dict array of a model with this architecture."""
+    shapes = {}
+    for j in range(1, cfg.n_layers + 1):
+        shapes[f"w{j}"] = (cfg.out_width(j), cfg.in_width(j))
+        shapes[f"b{j}"] = (cfg.out_width(j),)
+    for j in range(1, cfg.n_layers):
+        for kind in ("bn_g", "bn_b", "bn_rm", "bn_rv"):
+            shapes[f"{kind}{j}"] = (cfg.hidden_width,)
+    return shapes
 
 
 def save_checkpoint(model: InrModel, path) -> None:
@@ -403,41 +460,68 @@ def save_checkpoint(model: InrModel, path) -> None:
 
 
 def load_checkpoint(path) -> InrModel:
-    """Rebuild a model (and any stored optimizer state) from disk."""
+    """Rebuild a model (and any stored optimizer state) from disk.
+
+    Every parameter and running statistic must be a float64 array of the
+    shape the stored architecture implies, and the encoder, when present,
+    must produce that architecture's input width; anything else raises
+    CheckpointError.
+    """
     path = Path(path)
     meta, arrays = _unpack_container(path.read_bytes(), path)
     if meta.get("kind") != "inr_model":
         raise CheckpointError(f"corrupt checkpoint: unexpected kind ({path})")
-    m = meta["mlp"]
-    cfg = MlpConfig(
-        input_dim=m["input_dim"],
-        hidden_width=m["hidden_width"],
-        n_layers=m["n_layers"],
-        skip_layers=tuple(m["skip_layers"]),
-        bn_momentum=m["bn_momentum"],
-        bn_epsilon=m["bn_epsilon"],
-    )
-    encoder = None
-    if meta["encoder"] is not None:
-        encoder = FourierEncoder.from_matrices(
-            arrays["enc_b_space"], arrays["enc_b_time"], seed=meta["encoder"]["seed"]
-        )
-    n = cfg.n_layers
+    if meta.get("mode", "train") not in ("train", "eval"):
+        raise CheckpointError(f"corrupt checkpoint: unknown mode {meta['mode']!r} ({path})")
     try:
-        model = InrModel(
-            cfg,
-            weights=[arrays[f"w{j}"] for j in range(1, n + 1)],
-            biases=[arrays[f"b{j}"] for j in range(1, n + 1)],
-            bn_gamma=[arrays[f"bn_g{j}"] for j in range(1, n)],
-            bn_beta=[arrays[f"bn_b{j}"] for j in range(1, n)],
-            bn_mean=[arrays[f"bn_rm{j}"] for j in range(1, n)],
-            bn_var=[arrays[f"bn_rv{j}"] for j in range(1, n)],
-            encoder=encoder,
+        m = meta["mlp"]
+        cfg = MlpConfig(
+            input_dim=m["input_dim"],
+            hidden_width=m["hidden_width"],
+            n_layers=m["n_layers"],
+            skip_layers=tuple(m["skip_layers"]),
+            bn_momentum=m["bn_momentum"],
+            bn_epsilon=m["bn_epsilon"],
         )
-    except KeyError as exc:
-        raise CheckpointError(f"corrupt checkpoint: missing array {exc} ({path})")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint: bad mlp meta: {exc!r} ({path})") from exc
+    for name, shape in _expected_shapes(cfg).items():
+        if name not in arrays:
+            raise CheckpointError(f"corrupt checkpoint: missing array '{name}' ({path})")
+        arr = arrays[name]
+        if arr.dtype != np.float64 or arr.shape != shape:
+            raise CheckpointError(
+                f"corrupt checkpoint: array '{name}' is {arr.dtype} {arr.shape}, "
+                f"expected float64 {shape} ({path})"
+            )
+    encoder = None
+    if meta.get("encoder") is not None:
+        try:
+            encoder = FourierEncoder.from_matrices(
+                arrays["enc_b_space"], arrays["enc_b_time"], seed=meta["encoder"]["seed"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"corrupt checkpoint: bad encoder: {exc!r} ({path})") from exc
+        if encoder.out_dim != cfg.input_dim:
+            raise CheckpointError(
+                f"corrupt checkpoint: encoder width {encoder.out_dim} != "
+                f"input_dim {cfg.input_dim} ({path})"
+            )
+    n = cfg.n_layers
+    model = InrModel(
+        cfg,
+        weights=[arrays[f"w{j}"] for j in range(1, n + 1)],
+        biases=[arrays[f"b{j}"] for j in range(1, n + 1)],
+        bn_gamma=[arrays[f"bn_g{j}"] for j in range(1, n)],
+        bn_beta=[arrays[f"bn_b{j}"] for j in range(1, n)],
+        bn_mean=[arrays[f"bn_rm{j}"] for j in range(1, n)],
+        bn_var=[arrays[f"bn_rv{j}"] for j in range(1, n)],
+        encoder=encoder,
+    )
     model.mode = meta.get("mode", "train")
     model.meta = meta.get("meta", {})
+    if not isinstance(model.meta, dict):
+        raise CheckpointError(f"corrupt checkpoint: model meta is not an object ({path})")
     if meta.get("has_optimizer"):
         model.optimizer_state = {
             k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from atlas4d.cli import load_config, main
+from atlas4d.encoding import FourierEncoder
+from atlas4d.network import MlpConfig, init_mlp, save_checkpoint
 from atlas4d.volume_io import read_manifest, read_nifti
 
 # Small-but-real pipeline settings: 16^3 grid, 6 weeks, narrow network.
@@ -100,6 +102,20 @@ class TestStageOrder:
         rc = _run("pretrain", "--config", str(cfg))
         assert rc == 1
         assert "manifest not found" in capsys.readouterr().err
+
+    def test_infer_without_dims_meta(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        run = tmp_path / "run"
+        run.mkdir()
+        for i in (1, 2):
+            enc = FourierEncoder(8, 4, seed=i)
+            model = init_mlp(MlpConfig(input_dim=enc.out_dim, hidden_width=16, n_layers=6,
+                                       skip_layers=(3,)), seed=i, encoder=enc)
+            model.meta = {"time_range": [21.0, 26.0], "times": [21.0, 26.0]}
+            save_checkpoint(model, run / f"model{i}_refined.ckpt")
+        assert _run("infer", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "no 'dims' meta" in err and "model1_refined.ckpt" in err
 
     def test_eval_before_infer(self, tmp_path):
         cfg = _write_config(tmp_path)

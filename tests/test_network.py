@@ -1,7 +1,12 @@
+import json
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlas4d.encoding import FourierEncoder
 from atlas4d.network import (
@@ -11,6 +16,7 @@ from atlas4d.network import (
     load_checkpoint,
     save_checkpoint,
 )
+from atlas4d.network import _pack_container, _unpack_container
 
 
 def mse_loss(model, x, target):
@@ -122,6 +128,16 @@ class TestForward:
         y2, _ = model.forward(x)
         assert np.array_equal(y1, y2)
 
+    def test_eval_forward_leaves_state_unchanged(self):
+        cfg = MlpConfig(input_dim=6, hidden_width=8, n_layers=5, skip_layers=(1, 3))
+        model = init_mlp(cfg, seed=2)
+        model.forward(np.random.default_rng(0).normal(size=(32, 6)))  # move running stats
+        model.eval()
+        before = model.snapshot()
+        model.forward(np.random.default_rng(1).normal(size=(9, 6)))
+        for k, v in model.state_dict().items():
+            assert np.array_equal(v, before[k]), k
+
     def test_train_forward_updates_running_stats(self):
         cfg = MlpConfig(input_dim=4, hidden_width=3, n_layers=3, skip_layers=())
         model = init_mlp(cfg, seed=3)
@@ -203,6 +219,68 @@ class TestForward:
         assert np.array_equal(a_x[:, 4:], x)
         assert np.all(a_0[:, 4:] == 0.0)
 
+
+
+def _unfolded_eval(model, x):
+    """Eval forward written out layer by layer, batch norm not folded."""
+    cfg = model.cfg
+    a = x
+    for j in range(1, cfg.n_layers):
+        z = a @ model.weights[j - 1].T + model.biases[j - 1]
+        xhat = (z - model.bn_mean[j - 1]) / np.sqrt(model.bn_var[j - 1] + cfg.bn_epsilon)
+        a = np.maximum(xhat * model.bn_gamma[j - 1] + model.bn_beta[j - 1], 0.0)
+        if j in cfg.skip_layers:
+            a = np.concatenate([a, x], axis=1)
+    return (a @ model.weights[-1].T + model.biases[-1]).ravel()
+
+
+@st.composite
+def _eval_models(draw):
+    n_layers = draw(st.integers(2, 7))
+    cfg = MlpConfig(
+        input_dim=draw(st.integers(1, 9)),
+        hidden_width=draw(st.integers(1, 12)),
+        n_layers=n_layers,
+        skip_layers=draw(st.sets(st.integers(1, n_layers - 1))),
+        bn_epsilon=draw(st.sampled_from([1e-5, 1e-3])),
+    )
+    model = init_mlp(cfg, seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    w = cfg.hidden_width
+    for j in range(cfg.n_layers - 1):
+        model.bn_gamma[j][:] = rng.uniform(-2.0, 2.0, w)
+        model.bn_beta[j][:] = rng.normal(size=w)
+        model.bn_mean[j][:] = rng.normal(size=w)
+        # running variances down to far below eps, where eps dominates
+        model.bn_var[j][:] = 10.0 ** rng.uniform(-9.0, 1.0, w)
+    x = rng.normal(size=(draw(st.integers(1, 20)), cfg.input_dim))
+    return model.eval(), x
+
+
+class TestFoldedEval:
+    @settings(max_examples=200, deadline=None)
+    @given(_eval_models())
+    def test_matches_unfolded_reference(self, case):
+        model, x = case
+        before = model.snapshot()
+        y, cache = model.forward(x)
+        want = _unfolded_eval(model, x)
+        assert cache is None
+        assert y.shape == want.shape
+        assert np.max(np.abs(y - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+        for k, v in model.state_dict().items():
+            assert np.array_equal(v, before[k]), k
+
+    def test_sees_in_place_parameter_updates(self):
+        cfg = MlpConfig(input_dim=5, hidden_width=6, n_layers=4, skip_layers=(2,))
+        model = init_mlp(cfg, seed=4).eval()
+        x = np.random.default_rng(3).normal(size=(7, 5))
+        y0, _ = model.forward(x)
+        model.bn_var[1] *= 4.0
+        model.bn_gamma[0] += 0.5
+        y1, _ = model.forward(x)
+        assert not np.array_equal(y0, y1)
+        assert np.allclose(y1, _unfolded_eval(model, x), rtol=1e-12, atol=0.0)
 
 class TestBackward:
     def _small(self, seed=0):
@@ -337,3 +415,114 @@ class TestCheckpoint:
         for k in params_before:
             assert params_before[k] is params_after[k]
             assert np.array_equal(params_after[k], snap[k])
+
+
+def _raw_checkpoint(meta_blob: bytes, entries) -> bytes:
+    """A checkpoint container built byte by byte, with a valid CRC.
+
+    entries: (name, dtype_code, shape, raw_bytes) per array.
+    """
+    body = struct.pack("<II", 1, len(meta_blob)) + meta_blob
+    body += struct.pack("<I", len(entries))
+    for name, code, shape, raw in entries:
+        nm = name.encode("utf-8")
+        body += struct.pack("<H", len(nm)) + nm + struct.pack("<BB", code, len(shape))
+        body += struct.pack(f"<{len(shape)}q", *shape) + struct.pack("<Q", len(raw)) + raw
+    return b"A4DCKPT\x00" + body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestMalformedCheckpoint:
+    """Crafted files with valid checksums that must still be rejected."""
+
+    def _model(self):
+        return TestCheckpoint()._model()
+
+    def _parts(self, tmp_path):
+        """(meta, arrays) exactly as save_checkpoint would write them."""
+        model = self._model()
+        p = tmp_path / "ok.ckpt"
+        save_checkpoint(model, p)
+        return _unpack_container(p.read_bytes(), p)
+
+    def _write(self, tmp_path, blob):
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(blob)
+        return p
+
+    def test_unknown_dtype_code(self, tmp_path):
+        meta, _ = self._parts(tmp_path)
+        blob = _raw_checkpoint(json.dumps(meta).encode(), [("w1", 9, (2,), bytes(16))])
+        p = self._write(tmp_path, blob)
+        with pytest.raises(CheckpointError, match=r"unknown dtype code 9.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_byte_count_disagrees_with_shape(self, tmp_path):
+        meta, _ = self._parts(tmp_path)
+        blob = _raw_checkpoint(json.dumps(meta).encode(), [("w1", 0, (3,), bytes(16))])
+        p = self._write(tmp_path, blob)
+        with pytest.raises(CheckpointError, match=r"holds 16 bytes.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_meta_not_json(self, tmp_path):
+        p = self._write(tmp_path, _raw_checkpoint(b"{not json", []))
+        with pytest.raises(CheckpointError, match=r"undecodable meta.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_meta_not_utf8(self, tmp_path):
+        p = self._write(tmp_path, _raw_checkpoint(b'{"kind": "\xff"}', []))
+        with pytest.raises(CheckpointError, match=r"undecodable meta.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_meta_not_an_object(self, tmp_path):
+        p = self._write(tmp_path, _raw_checkpoint(b"[1, 2]", []))
+        with pytest.raises(CheckpointError, match=r"not an object.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_bad_mlp_meta(self, tmp_path):
+        meta, arrays = self._parts(tmp_path)
+        meta["mlp"]["n_layers"] = 1
+        p = self._write(tmp_path, _pack_container(meta, arrays))
+        with pytest.raises(CheckpointError, match=r"bad mlp meta.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("name", ["bn_rv1", "bn_rm2", "w2", "b4"])
+    def test_wrong_shape(self, tmp_path, name):
+        meta, arrays = self._parts(tmp_path)
+        arrays[name] = np.ones(7)  # no array of this model has 7 entries
+        p = self._write(tmp_path, _pack_container(meta, arrays))
+        with pytest.raises(CheckpointError, match=rf"array '{name}' is .*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_wrong_dtype(self, tmp_path):
+        meta, arrays = self._parts(tmp_path)
+        arrays["bn_rv1"] = arrays["bn_rv1"].astype(np.float32)
+        p = self._write(tmp_path, _pack_container(meta, arrays))
+        with pytest.raises(CheckpointError, match=r"array 'bn_rv1' is float32.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_missing_array(self, tmp_path):
+        meta, arrays = self._parts(tmp_path)
+        del arrays["bn_g3"]
+        p = self._write(tmp_path, _pack_container(meta, arrays))
+        with pytest.raises(CheckpointError, match=r"missing array 'bn_g3'.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_encoder_width_mismatch(self, tmp_path):
+        meta, arrays = self._parts(tmp_path)
+        arrays["enc_b_time"] = np.ones((5, 1))
+        p = self._write(tmp_path, _pack_container(meta, arrays))
+        with pytest.raises(CheckpointError, match=r"encoder width.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_unknown_mode(self, tmp_path):
+        meta, arrays = self._parts(tmp_path)
+        meta["mode"] = "serve"
+        p = self._write(tmp_path, _pack_container(meta, arrays))
+        with pytest.raises(CheckpointError, match=r"unknown mode.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_well_formed_parts_load(self, tmp_path):
+        meta, arrays = self._parts(tmp_path)
+        p = self._write(tmp_path, _pack_container(meta, arrays))
+        back = load_checkpoint(p)
+        assert back.meta == self._model().meta

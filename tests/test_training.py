@@ -382,6 +382,22 @@ class TestReconstruct:
         assert out.volumes[0].data.min() >= 10.0
         assert out.volumes[0].data.max() <= 20.0
 
+    @pytest.mark.parametrize("scale", [None, (10.0, 20.0)])
+    def test_equals_average_predict_at_every_voxel(self, scale):
+        series, m1, m2 = self._trained_pair()
+        dims = (7, 6, 5)  # 210 voxels: chunk 64 leaves a partial last chunk
+        times = [0.0, 1.5, 2.0, 3.0]  # 1.5 lies between training points
+        out = reconstruct(m1, m2, dims, series.spacing, times,
+                          intensity_scale=scale, chunk=64)
+        grid = coord_grid(dims)
+        for k, t in enumerate(times):
+            tn = normalize_times([t], series.time_range)[0]
+            pts = np.column_stack([grid, np.full(grid.shape[0], tn)])
+            want = np.clip(average_predict(m1, m2, pts), 0.0, 1.0)
+            if scale is not None:
+                want = want * (scale[1] - scale[0]) + scale[0]
+            assert np.array_equal(out.volumes[k].flat(), want), t
+
     def test_missing_time_range_rejected(self):
         series, m1, m2 = self._trained_pair()
         m1.meta = {}
