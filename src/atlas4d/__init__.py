@@ -41,7 +41,6 @@ from .training import (
     pretrain,
     reconstruct,
     refine,
-    sample_batch,
     split_timepoints,
 )
 from .volume_io import (

@@ -10,15 +10,17 @@ config seeds, so a rerun with the same config reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as met
 from . import phantom as ph
-from .network import CheckpointError, InrModel, load_checkpoint, save_checkpoint
+from .encoding import FourierEncoder
+from .network import CheckpointError, InrModel, MlpConfig, load_checkpoint, save_checkpoint
 from .optimizer import LrSchedule, lr_at
 from .training import (
     TrainConfig,
@@ -55,47 +57,55 @@ def _parse_float_list(s: str) -> list[float]:
     return [float(p) for p in s.split(",") if p.strip()]
 
 
+# Defaults come from the objects that own them, so each is defined once.
+_TRAIN = TrainConfig()
+_LR = LrSchedule()
+_MLP = {f.name: f.default for f in fields(MlpConfig)}
+_ENCODER = inspect.signature(FourierEncoder).parameters
+_PHANTOM = ph.PhantomConfig()
+
 # key -> (parser, default). Paths stay strings here; resolution happens at
 # use time relative to the config file's directory.
 _SCHEMA = {
     "run_dir": (str, None),
-    "threads": (int, 0),
-    "phantom.dims": (_parse_int_tuple, (32, 32, 32)),
-    "phantom.n_times": (int, 10),
-    "phantom.time_start": (float, 21.0),
-    "phantom.time_end": (float, 30.0),
-    "phantom.outer_r0": (float, 10.0),
-    "phantom.outer_slope": (float, 0.3),
-    "phantom.inner_r0": (float, 4.6),
-    "phantom.inner_slope": (float, 0.3),
-    "phantom.level_background": (float, 0.0),
-    "phantom.level_tissue": (float, 0.5),
-    "phantom.level_inner": (float, 1.0),
-    "phantom.edge_width": (float, 1.8),
+    "phantom.dims": (_parse_int_tuple, _PHANTOM.dims),
+    "phantom.n_times": (int, _PHANTOM.n_times),
+    "phantom.time_start": (float, _PHANTOM.time_start),
+    "phantom.time_end": (float, _PHANTOM.time_end),
+    "phantom.outer_r0": (float, _PHANTOM.outer_radius[0]),
+    "phantom.outer_slope": (float, _PHANTOM.outer_radius[1]),
+    "phantom.inner_r0": (float, _PHANTOM.inner_radius[0]),
+    "phantom.inner_slope": (float, _PHANTOM.inner_radius[1]),
+    "phantom.level_background": (float, _PHANTOM.levels[0]),
+    "phantom.level_tissue": (float, _PHANTOM.levels[1]),
+    "phantom.level_inner": (float, _PHANTOM.levels[2]),
+    "phantom.edge_width": (float, _PHANTOM.edge_width),
+    # PhantomConfig defaults to a clean series; the CLI's phantom is noisy
+    # by default, since it exists to feed the denoising pipeline.
     "phantom.jitter_sigma": (float, 1.5),
     "phantom.noise_sigma": (float, 0.02),
-    "phantom.seed": (int, 0),
+    "phantom.seed": (int, _PHANTOM.seed),
     "data.manifest": (str, ""),
     "data.mask": (str, ""),
-    "encoder.l_space": (int, 128),
-    "encoder.l_time": (int, 32),
-    "mlp.hidden_width": (int, 256),
-    "mlp.n_layers": (int, 18),
-    "mlp.skip_layers": (_parse_int_tuple, (6, 12)),
-    "mlp.bn_momentum": (float, 0.1),
-    "mlp.bn_epsilon": (float, 1e-5),
-    "train.lambda": (float, 0.1),
-    "train.batch_size": (int, 25000),
-    "train.pretrain_epochs": (int, 500),
-    "train.refine_max_epochs": (int, 300),
-    "train.patience": (int, 50),
-    "train.pretrain_lr": (float, 1e-4),
-    "train.refine_lr": (float, 1e-4),
-    "train.lr_decay": (float, 0.5),
-    "train.lr_decay_every": (int, 100),
-    "train.seed_model1": (int, 11),
-    "train.seed_model2": (int, 22),
-    "train.seed_sampling": (int, 33),
+    "encoder.l_space": (int, _ENCODER["l_space"].default),
+    "encoder.l_time": (int, _ENCODER["l_time"].default),
+    "mlp.hidden_width": (int, _MLP["hidden_width"]),
+    "mlp.n_layers": (int, _MLP["n_layers"]),
+    "mlp.skip_layers": (_parse_int_tuple, _MLP["skip_layers"]),
+    "mlp.bn_momentum": (float, _MLP["bn_momentum"]),
+    "mlp.bn_epsilon": (float, _MLP["bn_epsilon"]),
+    "train.lambda": (float, _TRAIN.lambda_fidelity),
+    "train.batch_size": (int, _TRAIN.batch_size),
+    "train.pretrain_epochs": (int, _TRAIN.pretrain_epochs),
+    "train.refine_max_epochs": (int, _TRAIN.refine_max_epochs),
+    "train.patience": (int, _TRAIN.patience),
+    "train.pretrain_lr": (float, _TRAIN.pretrain_schedule.base_lr),
+    "train.refine_lr": (float, _TRAIN.refine_schedule.base_lr),
+    "train.lr_decay": (float, _LR.decay_factor),
+    "train.lr_decay_every": (int, _LR.decay_every),
+    "train.seed_model1": (int, _TRAIN.seed_model1),
+    "train.seed_model2": (int, _TRAIN.seed_model2),
+    "train.seed_sampling": (int, _TRAIN.seed_sampling),
     "infer.times": (_parse_float_list, []),
     "infer.scale": (float, 1.0),
     "infer.stage": (str, "refined"),
@@ -165,18 +175,6 @@ def load_config(path, overrides=()) -> RunConfig:
         else:
             values[key] = default
     return RunConfig(values=values, base_dir=path.parent.resolve())
-
-
-def _limit_threads(cfg: RunConfig):
-    n = cfg["threads"]
-    if n <= 0:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass  # best effort: thread count stays at the library default
 
 
 def _write_artifacts(run_dir: Path, command: str, paths: list[Path]) -> None:
@@ -273,6 +271,9 @@ def cmd_pretrain(cfg: RunConfig) -> None:
     series, mask = _load_training_series(cfg)
     tcfg = _train_config(cfg, mask)
     split = split_timepoints(series.times)
+    # encoder.* and mlp.* keys are make_model's architecture kwargs.
+    arch = {key.split(".", 1)[1]: value for key, value in cfg.values.items()
+            if key.startswith(("encoder.", "mlp."))}
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -281,17 +282,7 @@ def cmd_pretrain(cfg: RunConfig) -> None:
         ("model1", split.set1, tcfg.seed_model1, 0),
         ("model2", split.set2, tcfg.seed_model2, 1),
     ]:
-        model = make_model(
-            series,
-            l_space=cfg["encoder.l_space"],
-            l_time=cfg["encoder.l_time"],
-            hidden_width=cfg["mlp.hidden_width"],
-            n_layers=cfg["mlp.n_layers"],
-            skip_layers=cfg["mlp.skip_layers"],
-            bn_momentum=cfg["mlp.bn_momentum"],
-            bn_epsilon=cfg["mlp.bn_epsilon"],
-            seed=seed,
-        )
+        model = make_model(series, seed=seed, **arch)
         model.meta["half"] = name
         model.meta["time_indices"] = [int(i) for i in indices]
         model, losses = pretrain(series, indices, tcfg, model, stream=stream)
@@ -463,7 +454,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        _limit_threads(cfg)
         if args.command == "phantom":
             cmd_phantom(cfg)
         elif args.command == "pretrain":

@@ -104,7 +104,6 @@ class InrModel:
         self.encoder = encoder
         self.mode = "train"
         self.meta: dict = {}
-        self.optimizer_state: dict | None = None
         self._version = 0
 
     # -- mode handling -----------------------------------------------------
@@ -430,8 +429,8 @@ def save_checkpoint(model: InrModel, path) -> None:
     """Persist parameters, running stats, encoder matrices, and metadata.
 
     A round trip through load_checkpoint reproduces forward outputs
-    bit-exactly. Optimizer state attached to the model is included so
-    training can resume.
+    bit-exactly. Optimizer state is not stored: every training stage
+    starts from fresh Adam moments.
     """
     meta = {
         "kind": "inr_model",
@@ -446,26 +445,23 @@ def save_checkpoint(model: InrModel, path) -> None:
         },
         "encoder": None,
         "meta": model.meta,
-        "has_optimizer": model.optimizer_state is not None,
     }
     arrays = dict(model.state_dict())
     if model.encoder is not None:
         meta["encoder"] = {"seed": model.encoder.seed}
         arrays["enc_b_space"] = model.encoder.b_space
         arrays["enc_b_time"] = model.encoder.b_time
-    if model.optimizer_state is not None:
-        for k, v in model.optimizer_state.items():
-            arrays[f"opt.{k}"] = np.asarray(v)
     Path(path).write_bytes(_pack_container(meta, arrays))
 
 
 def load_checkpoint(path) -> InrModel:
-    """Rebuild a model (and any stored optimizer state) from disk.
+    """Rebuild a model from disk.
 
     Every parameter and running statistic must be a float64 array of the
     shape the stored architecture implies, and the encoder, when present,
     must produce that architecture's input width; anything else raises
-    CheckpointError.
+    CheckpointError. Arrays beyond these, such as the `opt.*` Adam moments
+    older checkpoints carry, are ignored.
     """
     path = Path(path)
     meta, arrays = _unpack_container(path.read_bytes(), path)
@@ -522,8 +518,4 @@ def load_checkpoint(path) -> InrModel:
     model.meta = meta.get("meta", {})
     if not isinstance(model.meta, dict):
         raise CheckpointError(f"corrupt checkpoint: model meta is not an object ({path})")
-    if meta.get("has_optimizer"):
-        model.optimizer_state = {
-            k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")
-        }
     return model

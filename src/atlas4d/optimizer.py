@@ -45,24 +45,6 @@ class AdamState:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Flat array view for checkpointing, including the step counter."""
-        out = {f"m.{k}": v for k, v in self.m.items()}
-        out.update({f"v.{k}": v for k, v in self.v.items()})
-        out["step"] = np.array([self.step], dtype=np.int64)
-        return out
-
-    @classmethod
-    def from_arrays(cls, params: dict[str, np.ndarray], arrays: dict[str, np.ndarray],
-                    beta1: float = 0.9, beta2: float = 0.999,
-                    epsilon: float = 1e-8) -> "AdamState":
-        state = cls(params, beta1, beta2, epsilon)
-        state.step = int(arrays["step"][0])
-        for k in params:
-            np.copyto(state.m[k], arrays[f"m.{k}"])
-            np.copyto(state.v[k], arrays[f"v.{k}"])
-        return state
-
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:

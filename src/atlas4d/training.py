@@ -15,6 +15,7 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,14 +44,12 @@ class TimeSplit:
         return self.t_total[self.set2]
 
 
-def split_timepoints(times, scheme: str = "interleaved") -> TimeSplit:
+def split_timepoints(times) -> TimeSplit:
     """Alternate interior time points between two sets that share endpoints.
 
     Midpoints are the consecutive-pair means of the full time list, minus
     any that collide with an existing time point.
     """
-    if scheme != "interleaved":
-        raise ValueError(f"unknown split scheme {scheme!r}")
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or len(t) < 4:
         raise ValueError("too few time points: need at least 4")
@@ -104,7 +103,6 @@ class _Sampler:
     """Uniform coordinate/intensity sampling over (masked voxels) x times."""
 
     def __init__(self, series: Volume4D, mask: np.ndarray | None = None):
-        self.series = series
         self.grid = coord_grid(series.dims, series.spacing)
         self.values = series.stack()  # (n_times, n_voxels)
         self.t_norm = normalize_times(series.times, series.time_range)
@@ -138,32 +136,20 @@ class _Sampler:
         return np.column_stack([self.grid[vox], t_norm_values[tix]])
 
 
-def sample_batch(series: Volume4D, time_indices, n: int,
-                 rng: np.random.Generator, mask: np.ndarray | None = None):
-    """One uniform mini-batch of ((x, y, z, t_norm), intensity) pairs."""
-    return _Sampler(series, mask).draw(time_indices, n, rng)
-
-
 def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:
     # Keyed, counter-style stream: independent of call order across epochs.
     return np.random.default_rng([seed, stream, epoch])
 
 
-def make_model(series: Volume4D, *, l_space: int = 128, l_time: int = 32,
-               hidden_width: int = 256, n_layers: int = 18,
-               skip_layers=(6, 12), bn_momentum: float = 0.1,
-               bn_epsilon: float = 1e-5, seed: int = 0) -> InrModel:
-    """Initialize a network plus encoder sized for a series."""
-    encoder = FourierEncoder(l_space, l_time, seed=seed)
-    cfg = MlpConfig(
-        input_dim=encoder.out_dim,
-        hidden_width=hidden_width,
-        n_layers=n_layers,
-        skip_layers=tuple(skip_layers),
-        bn_momentum=bn_momentum,
-        bn_epsilon=bn_epsilon,
-    )
-    model = init_mlp(cfg, seed=seed, encoder=encoder)
+def make_model(series: Volume4D, *, seed: int = 0, **arch) -> InrModel:
+    """Initialize a network plus encoder sized for a series.
+
+    `arch` takes FourierEncoder's `l_space`/`l_time` and any MlpConfig
+    field but `input_dim`; what it omits keeps its owner's default.
+    """
+    enc = {k: arch.pop(k) for k in ("l_space", "l_time") if k in arch}
+    encoder = FourierEncoder(**enc, seed=seed)
+    model = init_mlp(MlpConfig(input_dim=encoder.out_dim, **arch), seed=seed, encoder=encoder)
     model.meta["time_range"] = list(series.time_range)
     model.meta["times"] = [float(t) for t in series.times]
     model.meta["dims"] = list(series.dims)
@@ -173,16 +159,31 @@ def make_model(series: Volume4D, *, l_space: int = 128, l_time: int = 32,
     return model
 
 
+def _run(model: InrModel, points: np.ndarray):
+    """(prediction, forward cache) of a train-mode model at raw points."""
+    return model.forward(model.encoder.encode(points))
+
+
+def _mse(pred: np.ndarray, target: np.ndarray, weight: float = 1.0):
+    """(MSE, gradient of weight * MSE with respect to pred)."""
+    err = pred - target
+    return float(np.mean(err * err)), weight * 2.0 * err / err.size
+
+
+def _update(model: InrModel, params, adam: AdamState, lr: float, *terms) -> None:
+    """One Adam step on the summed gradients of (cache, d_out) loss terms."""
+    grads = [model.backward(cache, d_out) for cache, d_out in terms]
+    adam_step(params, functools.reduce(sum_grads, grads), adam, lr)
+    model.mark_updated()
+
+
 def pretrain(series: Volume4D, time_indices, cfg: TrainConfig,
-             model: InrModel, *, stream: int = 0,
-             schedule: LrSchedule | None = None):
+             model: InrModel, *, stream: int = 0):
     """Fit one model to its half of the series by mini-batch MSE descent.
 
-    Returns (model, per-epoch loss list). The model keeps its final Adam
-    state attached so checkpoints are resumable.
+    Returns (model, per-epoch loss list), the losses taken before each
+    epoch's update.
     """
-    if schedule is None:
-        schedule = cfg.pretrain_schedule
     sampler = _Sampler(series, cfg.mask)
     model.train()
     params = model.params()
@@ -191,17 +192,12 @@ def pretrain(series: Volume4D, time_indices, cfg: TrainConfig,
     for epoch in range(cfg.pretrain_epochs):
         rng = _epoch_rng(cfg.seed_sampling, stream, epoch)
         points, target = sampler.draw(time_indices, cfg.batch_size, rng)
-        feats = model.encoder.encode(points)
-        pred, cache = model.forward(feats)
-        err = pred - target
-        loss = float(np.mean(err * err))
+        pred, cache = _run(model, points)
+        loss, d_out = _mse(pred, target)
         if not np.isfinite(loss):
             raise DivergenceError(f"divergence: non-finite loss at epoch {epoch}")
-        grads = model.backward(cache, 2.0 * err / err.size)
-        adam_step(params, grads, adam, lr_at(schedule, epoch))
-        model.mark_updated()
+        _update(model, params, adam, lr_at(cfg.pretrain_schedule, epoch), (cache, d_out))
         losses.append(loss)
-    model.optimizer_state = adam.arrays()
     return model, losses
 
 
@@ -236,20 +232,17 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
         rngc = _epoch_rng(cfg.seed_sampling, 103, epoch)
 
         pts1, tgt1 = sampler.draw(split.set1, cfg.batch_size, rng1)
-        pred1, cache1 = m1.forward(m1.encoder.encode(pts1))
-        err1 = pred1 - tgt1
-        l1 = float(np.mean(err1 * err1))
+        pred1, cache1 = _run(m1, pts1)
+        l1, d1 = _mse(pred1, tgt1, lam)
 
         pts2, tgt2 = sampler.draw(split.set2, cfg.batch_size, rng2)
-        pred2, cache2 = m2.forward(m2.encoder.encode(pts2))
-        err2 = pred2 - tgt2
-        l2 = float(np.mean(err2 * err2))
+        pred2, cache2 = _run(m2, pts2)
+        l2, d2 = _mse(pred2, tgt2, lam)
 
         ptsc = sampler.draw_coords(mid_norm, cfg.batch_size, rngc)
-        pc1, cache1c = m1.forward(m1.encoder.encode(ptsc))
-        pc2, cache2c = m2.forward(m2.encoder.encode(ptsc))
-        diff = pc1 - pc2
-        l_cross = float(np.mean(diff * diff))
+        pc1, cache1c = _run(m1, ptsc)
+        pc2, cache2c = _run(m2, ptsc)
+        l_cross, d_cross = _mse(pc1, pc2)
 
         l_total = lam * l1 + lam * l2 + l_cross
         if not np.isfinite(l_total):
@@ -266,24 +259,12 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
         elif epoch - hist.best_epoch >= cfg.patience:
             break
 
-        d_cross = 2.0 * diff / diff.size
-        g1 = sum_grads(
-            m1.backward(cache1, lam * 2.0 * err1 / err1.size),
-            m1.backward(cache1c, d_cross),
-        )
-        g2 = sum_grads(
-            m2.backward(cache2, lam * 2.0 * err2 / err2.size),
-            m2.backward(cache2c, -d_cross),
-        )
-        adam_step(params1, g1, adam1, lr_at(cfg.refine_schedule, epoch))
-        m1.mark_updated()
-        adam_step(params2, g2, adam2, lr_at(cfg.refine_schedule, epoch))
-        m2.mark_updated()
+        lr = lr_at(cfg.refine_schedule, epoch)
+        _update(m1, params1, adam1, lr, (cache1, d1), (cache1c, d_cross))
+        _update(m2, params2, adam2, lr, (cache2, d2), (cache2c, -d_cross))
 
     m1.load_snapshot(best_state[0])
     m2.load_snapshot(best_state[1])
-    m1.optimizer_state = adam1.arrays()
-    m2.optimizer_state = adam2.arrays()
     return m1, m2, hist
 
 

@@ -12,6 +12,7 @@ is supported; anything else is rejected with an explicit error.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -42,7 +43,6 @@ class Volume3D:
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     data: np.ndarray
-    dtype_tag: str = "float32"
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -160,8 +160,9 @@ def _read_raw(path: Path) -> bytes:
 def read_nifti(path) -> Volume3D:
     """Read a single-file NIfTI-1 volume (scalar, 3 spatial dims).
 
-    Applies scl_slope/scl_inter when the slope is nonzero and converts the
-    payload to float64 working precision.
+    Applies scl_slope/scl_inter as NIfTI-1 (and nibabel) do: a slope that
+    is 0 or non-finite means no scaling, and a non-finite intercept counts
+    as 0. The payload is converted to float64 working precision.
     """
     path = Path(path)
     raw = _read_raw(path)
@@ -219,10 +220,14 @@ def read_nifti(path) -> Volume3D:
     disk_dt = dt.newbyteorder(end)
     payload = np.frombuffer(raw, dtype=disk_dt, count=n_vox, offset=vox_offset)
     data = payload.astype(np.float64).reshape(dims, order="F")
-    if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
+    if scl_slope == 0.0 or not math.isfinite(scl_slope):
+        scl_slope, scl_inter = 1.0, 0.0
+    elif not math.isfinite(scl_inter):
+        scl_inter = 0.0
+    if (scl_slope, scl_inter) != (1.0, 0.0):
         data = data * float(scl_slope) + float(scl_inter)
 
-    return Volume3D(dims=dims, spacing=spacing, data=data, dtype_tag=dt.name)
+    return Volume3D(dims=dims, spacing=spacing, data=data)
 
 
 def write_nifti(vol: Volume3D, path) -> None:
@@ -258,15 +263,6 @@ def write_nifti(vol: Volume3D, path) -> None:
     else:
         with open(path, "wb") as fh:
             fh.write(blob)
-
-
-def read_label_volume(path, n_classes: int = 0) -> LabelVolume:
-    """Read an integer label map stored as a NIfTI volume."""
-    vol = read_nifti(path)
-    ids = np.rint(vol.data)
-    if not np.allclose(vol.data, ids, atol=1e-6):
-        raise ValueError(f"non-integer label intensities in {path}")
-    return LabelVolume(vol.dims, vol.spacing, ids.astype(np.int64), n_classes)
 
 
 # ---------------------------------------------------------------------------

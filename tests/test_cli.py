@@ -11,7 +11,6 @@ from atlas4d.volume_io import read_manifest, read_nifti
 # Small-but-real pipeline settings: 16^3 grid, 6 weeks, narrow network.
 TINY = """
 run_dir = {run_dir}
-threads = 0
 
 phantom.dims = 16,16,16
 phantom.n_times = 6
@@ -57,11 +56,13 @@ def _run(*argv):
 
 
 class TestConfigParsing:
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("run_dir = out\nnot.a.key = 1\n")
-        rc = _run("phantom", "--config", str(cfg))
-        assert rc == 1
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # `threads` is rejected too: BLAS threads are set in the environment
+        for line in ("not.a.key = 1", "threads = 2"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"run_dir = out\n{line}\n")
+            assert _run("phantom", "--config", str(cfg)) == 1
+            assert "unknown config keys" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -73,9 +74,9 @@ class TestConfigParsing:
 
     def test_comments_and_overrides(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("# a comment\nrun_dir = out  # trailing\nthreads = 2\n")
-        parsed = load_config(cfg, overrides=["threads=4"])
-        assert parsed["threads"] == 4
+        cfg.write_text("# a comment\nrun_dir = out  # trailing\ntrain.batch_size = 2\n")
+        parsed = load_config(cfg, overrides=["train.batch_size=4"])
+        assert parsed["train.batch_size"] == 4
         assert parsed.run_dir == tmp_path / "out"
 
     def test_defaults_fill_missing_keys(self, tmp_path):

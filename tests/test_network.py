@@ -395,14 +395,33 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(p)
 
-    def test_optimizer_state_round_trip(self, tmp_path):
+    def test_no_optimizer_state_saved(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(self._model(), p)
+        meta, arrays = _unpack_container(p.read_bytes(), p)
+        assert "has_optimizer" not in meta
+        assert not [k for k in arrays if k.startswith("opt.")]
+
+    def test_loads_checkpoint_with_optimizer_state(self, tmp_path):
+        # Older checkpoints also carried Adam moments; loading ignores them.
         model = self._model()
-        model.optimizer_state = {"m.w1": np.ones(3), "step": np.array([7])}
+        model.forward(np.random.default_rng(1).normal(size=(16, model.cfg.input_dim)))
+        model.eval()
         p = tmp_path / "m.ckpt"
         save_checkpoint(model, p)
+        meta, arrays = _unpack_container(p.read_bytes(), p)
+        rng = np.random.default_rng(3)
+        for k, v in model.params().items():
+            arrays[f"opt.m.{k}"] = rng.normal(size=v.shape)
+            arrays[f"opt.v.{k}"] = rng.uniform(size=v.shape)
+        arrays["opt.step"] = np.array([7], dtype=np.int64)
+        meta["has_optimizer"] = True
+        p.write_bytes(_pack_container(meta, arrays))
         back = load_checkpoint(p)
-        assert set(back.optimizer_state) == {"m.w1", "step"}
-        assert np.array_equal(back.optimizer_state["m.w1"], np.ones(3))
+        x = np.random.default_rng(2).normal(size=(100, model.cfg.input_dim))
+        assert np.array_equal(back.forward(x)[0], model.forward(x)[0])
+        for k, v in model.state_dict().items():
+            assert np.array_equal(back.state_dict()[k], v), k
 
     def test_snapshot_round_trip_preserves_param_identity(self):
         model = self._model()

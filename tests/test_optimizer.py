@@ -77,18 +77,6 @@ class TestAdam:
         assert np.array_equal(np.concatenate([blocks["a"], blocks["b"]]),
                               merged["all"])
 
-    def test_state_round_trip_through_arrays(self):
-        rng = np.random.default_rng(1)
-        params = {"w": rng.normal(size=(2, 2))}
-        state = AdamState(params)
-        for _ in range(5):
-            adam_step(params, {"w": rng.normal(size=(2, 2))}, state, lr=1e-3)
-        stored = {k: v.copy() for k, v in state.arrays().items()}
-        revived = AdamState.from_arrays(params, stored)
-        assert revived.step == state.step
-        assert np.array_equal(revived.m["w"], state.m["w"])
-        assert np.array_equal(revived.v["w"], state.v["w"])
-
 
 class TestSchedule:
     def test_paper_values(self):

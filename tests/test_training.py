@@ -5,12 +5,12 @@ from atlas4d.optimizer import DivergenceError, LrSchedule
 from atlas4d.phantom import PhantomConfig, generate
 from atlas4d.training import (
     TrainConfig,
+    _Sampler,
     average_predict,
     make_model,
     pretrain,
     reconstruct,
     refine,
-    sample_batch,
     split_timepoints,
 )
 from atlas4d.volume_io import (
@@ -59,10 +59,6 @@ class TestSplit:
         with pytest.raises(ValueError, match="strictly increasing"):
             split_timepoints([1.0, 3.0, 2.0, 4.0])
 
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError, match="unknown split scheme"):
-            split_timepoints([1.0, 2.0, 3.0, 4.0], scheme="random")
-
     def test_endpoints_always_shared(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -92,7 +88,7 @@ class TestSampleBatch:
         series = self._tiny()
         mask = np.zeros((3, 3, 3), dtype=bool)
         mask[1, 2, 0] = True
-        pts, vals = sample_batch(series, [2], 16, np.random.default_rng(1), mask)
+        pts, vals = _Sampler(series, mask).draw([2], 16, np.random.default_rng(1))
         expected_value = series.volumes[2].data[1, 2, 0]
         assert np.all(vals == expected_value)
         # coordinate of voxel (1,2,0) and normalized time of t=2.0
@@ -103,19 +99,19 @@ class TestSampleBatch:
 
     def test_times_within_subset(self):
         series = self._tiny()
-        pts, _ = sample_batch(series, [1, 3], 200, np.random.default_rng(2))
+        pts, _ = _Sampler(series).draw([1, 3], 200, np.random.default_rng(2))
         allowed = set(normalize_times([1.0, 3.0], (0.0, 3.0)).tolist())
         assert set(pts[:, 3].tolist()) <= allowed
 
     def test_deterministic_given_rng_seed(self):
         series = self._tiny()
-        a = sample_batch(series, [0, 1, 2], 64, np.random.default_rng(42))
-        b = sample_batch(series, [0, 1, 2], 64, np.random.default_rng(42))
+        a = _Sampler(series).draw([0, 1, 2], 64, np.random.default_rng(42))
+        b = _Sampler(series).draw([0, 1, 2], 64, np.random.default_rng(42))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_values_match_coordinates(self):
         series = self._tiny()
-        pts, vals = sample_batch(series, [0, 1, 2, 3], 128, np.random.default_rng(3))
+        pts, vals = _Sampler(series).draw([0, 1, 2, 3], 128, np.random.default_rng(3))
         grid_axis = np.array([-1.0, 0.0, 1.0])
         t_norm = normalize_times(series.times, (0.0, 3.0))
         for p, v in zip(pts[:20], vals[:20]):
@@ -128,12 +124,12 @@ class TestSampleBatch:
     def test_empty_mask_rejected(self):
         series = self._tiny()
         with pytest.raises(ValueError, match="empty mask"):
-            sample_batch(series, [0], 4, np.random.default_rng(0),
-                         np.zeros((3, 3, 3), dtype=bool))
+            _Sampler(series, np.zeros((3, 3, 3), dtype=bool)).draw(
+                [0], 4, np.random.default_rng(0))
 
     def test_empty_time_subset_rejected(self):
         with pytest.raises(ValueError, match="no time points"):
-            sample_batch(self._tiny(), [], 4, np.random.default_rng(0))
+            _Sampler(self._tiny()).draw([], 4, np.random.default_rng(0))
 
 
 def _tiny_cfg(**kw):
@@ -198,14 +194,6 @@ class TestPretrain:
         assert l1 == l2
         for k in s1:
             assert np.array_equal(s1[k], s2[k]), k
-
-    def test_attaches_resumable_optimizer_state(self):
-        series = _constant_series()
-        cfg = _tiny_cfg(pretrain_epochs=5)
-        model = _tiny_model(series, seed=0)
-        model, _ = pretrain(series, [0, 1], cfg, model)
-        assert model.optimizer_state is not None
-        assert int(model.optimizer_state["step"][0]) == 5
 
     def test_non_finite_loss_aborts(self):
         series = _constant_series()

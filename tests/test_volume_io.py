@@ -26,18 +26,21 @@ def _vol(dims=(2, 2, 2), spacing=(1.0, 1.0, 1.0), seed=0):
 
 
 def _raw_nifti(dims=(2, 2, 2), datatype=64, dim0=3, scl_slope=0.0, scl_inter=0.0,
-               payload=None, magic=b"n+1\x00"):
-    """Hand-assembled NIfTI-1 bytes, independent of write_nifti."""
+               payload=None, magic=b"n+1\x00", end="<"):
+    """Hand-assembled NIfTI-1 bytes, independent of write_nifti.
+
+    `end` sets the header byte order; `payload` must be encoded to match.
+    """
     hdr = bytearray(348)
-    struct.pack_into("<i", hdr, 0, 348)
-    struct.pack_into("<8h", hdr, 40, dim0, *dims, 1, 1, 1, 1)
+    struct.pack_into(end + "i", hdr, 0, 348)
+    struct.pack_into(end + "8h", hdr, 40, dim0, *dims, 1, 1, 1, 1)
     codes = {2: 1, 4: 2, 16: 4, 64: 8}
-    struct.pack_into("<h", hdr, 70, datatype)
-    struct.pack_into("<h", hdr, 72, codes[datatype] * 8)
-    struct.pack_into("<8f", hdr, 76, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0)
-    struct.pack_into("<f", hdr, 108, 352.0)
-    struct.pack_into("<f", hdr, 112, scl_slope)
-    struct.pack_into("<f", hdr, 116, scl_inter)
+    struct.pack_into(end + "h", hdr, 70, datatype)
+    struct.pack_into(end + "h", hdr, 72, codes[datatype] * 8)
+    struct.pack_into(end + "8f", hdr, 76, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0)
+    struct.pack_into(end + "f", hdr, 108, 352.0)
+    struct.pack_into(end + "f", hdr, 112, scl_slope)
+    struct.pack_into(end + "f", hdr, 116, scl_inter)
     struct.pack_into("<4s", hdr, 344, magic)
     if payload is None:
         n = dims[0] * dims[1] * dims[2]
@@ -92,6 +95,19 @@ class TestNifti:
         p = tmp_path / "plain.nii"
         p.write_bytes(_raw_nifti(scl_slope=0.0, scl_inter=5.0, payload=payload))
         assert np.all(read_nifti(p).data == 3.0)
+
+    @pytest.mark.parametrize("end", ["<", ">"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scaling_fields_ignored(self, tmp_path, end, bad):
+        # NIfTI-1 and nibabel: a non-finite slope means no scaling at all,
+        # and a non-finite intercept under a valid slope counts as 0.
+        payload = np.full(8, 3.0, dtype=end + "f8").tobytes()
+        p = tmp_path / "bad_slope.nii"
+        p.write_bytes(_raw_nifti(scl_slope=bad, scl_inter=5.0, payload=payload, end=end))
+        assert np.all(read_nifti(p).data == 3.0)
+        p = tmp_path / "bad_inter.nii"
+        p.write_bytes(_raw_nifti(scl_slope=2.0, scl_inter=bad, payload=payload, end=end))
+        assert np.all(read_nifti(p).data == 6.0)
 
     def test_4d_file_rejected(self, tmp_path):
         p = tmp_path / "fourd.nii"
