@@ -1,10 +1,13 @@
 """Deep fully-connected regression network with exact analytic gradients.
 
 The model maps an encoded coordinate feature vector to one scalar intensity.
-Layers 1..n-1 are Linear -> BatchNorm -> ReLU; the final layer is a plain
-affine map to a single output. After the activations of the configured skip
-layers, the raw input features are concatenated back onto the hidden state,
-so the following layer sees hidden_width + input_dim inputs.
+Layers 1..n-1 are bias-free Linear -> BatchNorm -> ReLU: train-mode batch
+norm subtracts the batch mean, which cancels any bias added before it
+exactly, so the shift lives in the batch-norm beta alone. The final layer is
+a plain affine map to a single output, and it alone has a bias. After the
+activations of the configured skip layers, the raw input features are
+concatenated back onto the hidden state, so the following layer sees
+hidden_width + input_dim inputs.
 
 Everything is float64. Train-mode forward normalizes with batch statistics
 and updates running statistics. Eval-mode forward is a pure function of
@@ -12,7 +15,7 @@ and updates running statistics. Eval-mode forward is a pure function of
 map, so each hidden layer is folded into one Linear -> ReLU with
     scale = gamma / sqrt(running_var + eps)
     W' = W * scale[:, None]
-    b' = (b - running_mean) * scale + beta
+    b' = beta - running_mean * scale
 The fold is recomputed from the live arrays on every call (a few small
 vector ops per layer), so in-place parameter updates are always seen. ReLU
 runs in place, and at skip layers it writes into a buffer whose tail
@@ -25,7 +28,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,20 +86,20 @@ class ForwardCache:
     model_id: int
     version: int
     x: np.ndarray
-    inputs: list  # input to each layer, including the concatenated skips
+    inputs: list  # input to each layer, including the concatenated skips;
+    # the leading hidden_width columns of inputs[j] are layer j's ReLU output
     xhat: list
     inv_std: list
-    relu_mask: list
 
 
 class InrModel:
     """One coordinate-regression network plus its feature encoder."""
 
-    def __init__(self, cfg: MlpConfig, weights, biases, bn_gamma, bn_beta,
+    def __init__(self, cfg: MlpConfig, weights, out_bias, bn_gamma, bn_beta,
                  bn_mean, bn_var, encoder: FourierEncoder | None = None):
         self.cfg = cfg
         self.weights = weights
-        self.biases = biases
+        self.out_bias = out_bias  # the output layer's; hidden layers have none
         self.bn_gamma = bn_gamma
         self.bn_beta = bn_beta
         self.bn_mean = bn_mean
@@ -124,11 +127,10 @@ class InrModel:
 
     def params(self) -> dict[str, np.ndarray]:
         """Live references to trainable parameters, keyed by stable names."""
-        out = {}
-        for j in range(1, self.cfg.n_layers + 1):
-            out[f"w{j}"] = self.weights[j - 1]
-            out[f"b{j}"] = self.biases[j - 1]
-        for j in range(1, self.cfg.n_layers):
+        n = self.cfg.n_layers
+        out = {f"w{j}": self.weights[j - 1] for j in range(1, n + 1)}
+        out[f"b{n}"] = self.out_bias
+        for j in range(1, n):
             out[f"bn_g{j}"] = self.bn_gamma[j - 1]
             out[f"bn_b{j}"] = self.bn_beta[j - 1]
         return out
@@ -178,14 +180,12 @@ class InrModel:
         mom = cfg.bn_momentum
         batch = x.shape[0]
         a = x
-        inputs, xhats, inv_stds, masks = [], [], [], []
+        inputs, xhats, inv_stds = [], [], []
 
         for j in range(1, cfg.n_layers):
             inputs.append(a)
-            z = a @ self.weights[j - 1].T
-            z += self.biases[j - 1]
-            mu = z.mean(axis=0)
-            xhat = z
+            xhat = a @ self.weights[j - 1].T
+            mu = xhat.mean(axis=0)
             xhat -= mu
             var = np.einsum("ij,ij->j", xhat, xhat) / batch
             inv = 1.0 / np.sqrt(var + eps)
@@ -196,20 +196,18 @@ class InrModel:
             self.bn_var[j - 1] += mom * var
             h = xhat * self.bn_gamma[j - 1]
             h += self.bn_beta[j - 1]
-            mask = h > 0.0
-            a = np.maximum(h, 0.0)
+            a = np.maximum(h, 0.0, out=h)
             if j in cfg.skip_layers:
                 a = np.concatenate([a, x], axis=1)
             xhats.append(xhat)
             inv_stds.append(inv)
-            masks.append(mask)
 
         inputs.append(a)
         y = a @ self.weights[-1].T
-        y += self.biases[-1]
+        y += self.out_bias
         cache = ForwardCache(
             model_id=id(self), version=self._version, x=x,
-            inputs=inputs, xhat=xhats, inv_std=inv_stds, relu_mask=masks,
+            inputs=inputs, xhat=xhats, inv_std=inv_stds,
         )
         return y.ravel(), cache
 
@@ -221,8 +219,7 @@ class InrModel:
         for j in range(1, cfg.n_layers):
             scale = self.bn_gamma[j - 1] / np.sqrt(self.bn_var[j - 1] + cfg.bn_epsilon)
             w = self.weights[j - 1] * scale[:, None]
-            b = (self.biases[j - 1] - self.bn_mean[j - 1]) * scale
-            b += self.bn_beta[j - 1]
+            b = self.bn_beta[j - 1] - self.bn_mean[j - 1] * scale
             if j in cfg.skip_layers:
                 out = np.empty((x.shape[0], width + cfg.input_dim))
                 out[:, width:] = x
@@ -234,7 +231,7 @@ class InrModel:
             np.maximum(h, 0.0, out=h)
             a = out
         y = a @ self.weights[-1].T
-        y += self.biases[-1]
+        y += self.out_bias
         return y.ravel()
 
     def backward(self, cache: ForwardCache, d_out: np.ndarray) -> dict[str, np.ndarray]:
@@ -263,8 +260,9 @@ class InrModel:
         for j in range(n - 1, 0, -1):
             # Gradient of layer j's activation: the leading hidden_width input
             # columns of layer j + 1 (past them sit the raw-input skip slots).
-            da = dz @ self.weights[j][:, : cfg.hidden_width]
-            dh = da * cache.relu_mask[j - 1]
+            # ReLU passes it where that cached activation is positive.
+            dh = dz @ self.weights[j][:, : cfg.hidden_width]
+            dh *= cache.inputs[j][:, : cfg.hidden_width] > 0.0
             xhat = cache.xhat[j - 1]
             grads[f"bn_g{j}"] = np.einsum("ij,ij->j", dh, xhat)
             grads[f"bn_b{j}"] = dh.sum(axis=0)
@@ -275,7 +273,6 @@ class InrModel:
             dz += dxhat
             dz *= cache.inv_std[j - 1]
             grads[f"w{j}"] = dz.T @ cache.inputs[j - 1]
-            grads[f"b{j}"] = dz.sum(axis=0)
         return grads
 
     def predict(self, points: np.ndarray) -> np.ndarray:
@@ -291,18 +288,19 @@ class InrModel:
 def init_mlp(cfg: MlpConfig, seed: int = 0, encoder: FourierEncoder | None = None) -> InrModel:
     """Fresh model: fan-in-scaled uniform weights, identity batch norm."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    weights = []
     for j in range(1, cfg.n_layers + 1):
         fan_in = cfg.in_width(j)
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(cfg.out_width(j), fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=cfg.out_width(j)))
+        # Hidden layers drop this draw; taking it keeps each seed's weights.
+        bias = rng.uniform(-bound, bound, size=cfg.out_width(j))
     w = cfg.hidden_width
     n_bn = cfg.n_layers - 1
     model = InrModel(
         cfg,
         weights,
-        biases,
+        bias,
         bn_gamma=[np.ones(w) for _ in range(n_bn)],
         bn_beta=[np.zeros(w) for _ in range(n_bn)],
         bn_mean=[np.zeros(w) for _ in range(n_bn)],
@@ -415,11 +413,10 @@ def _unpack_container(blob: bytes, path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def _expected_shapes(cfg: MlpConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every state_dict array of a model with this architecture."""
-    shapes = {}
-    for j in range(1, cfg.n_layers + 1):
-        shapes[f"w{j}"] = (cfg.out_width(j), cfg.in_width(j))
-        shapes[f"b{j}"] = (cfg.out_width(j),)
-    for j in range(1, cfg.n_layers):
+    n = cfg.n_layers
+    shapes = {f"w{j}": (cfg.out_width(j), cfg.in_width(j)) for j in range(1, n + 1)}
+    shapes[f"b{n}"] = (1,)
+    for j in range(1, n):
         for kind in ("bn_g", "bn_b", "bn_rm", "bn_rv"):
             shapes[f"{kind}{j}"] = (cfg.hidden_width,)
     return shapes
@@ -435,14 +432,7 @@ def save_checkpoint(model: InrModel, path) -> None:
     meta = {
         "kind": "inr_model",
         "mode": model.mode,
-        "mlp": {
-            "input_dim": model.cfg.input_dim,
-            "hidden_width": model.cfg.hidden_width,
-            "n_layers": model.cfg.n_layers,
-            "skip_layers": list(model.cfg.skip_layers),
-            "bn_momentum": model.cfg.bn_momentum,
-            "bn_epsilon": model.cfg.bn_epsilon,
-        },
+        "mlp": asdict(model.cfg),
         "encoder": None,
         "meta": model.meta,
     }
@@ -460,8 +450,10 @@ def load_checkpoint(path) -> InrModel:
     Every parameter and running statistic must be a float64 array of the
     shape the stored architecture implies, and the encoder, when present,
     must produce that architecture's input width; anything else raises
-    CheckpointError. Arrays beyond these, such as the `opt.*` Adam moments
-    older checkpoints carry, are ignored.
+    CheckpointError. Older checkpoints also carry hidden-layer biases
+    `b1..b{n-1}`; each is folded into its layer's running mean
+    (bn_rm_j -= b_j), which leaves eval outputs unchanged bit for bit. Other
+    extra arrays, such as the `opt.*` Adam moments, are ignored.
     """
     path = Path(path)
     meta, arrays = _unpack_container(path.read_bytes(), path)
@@ -470,18 +462,12 @@ def load_checkpoint(path) -> InrModel:
     if meta.get("mode", "train") not in ("train", "eval"):
         raise CheckpointError(f"corrupt checkpoint: unknown mode {meta['mode']!r} ({path})")
     try:
-        m = meta["mlp"]
-        cfg = MlpConfig(
-            input_dim=m["input_dim"],
-            hidden_width=m["hidden_width"],
-            n_layers=m["n_layers"],
-            skip_layers=tuple(m["skip_layers"]),
-            bn_momentum=m["bn_momentum"],
-            bn_epsilon=m["bn_epsilon"],
-        )
+        cfg = MlpConfig(**{f.name: meta["mlp"][f.name] for f in fields(MlpConfig)})
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint: bad mlp meta: {exc!r} ({path})") from exc
-    for name, shape in _expected_shapes(cfg).items():
+    n = cfg.n_layers
+    hidden_biases = {f"b{j}": (cfg.hidden_width,) for j in range(1, n) if f"b{j}" in arrays}
+    for name, shape in (_expected_shapes(cfg) | hidden_biases).items():
         if name not in arrays:
             raise CheckpointError(f"corrupt checkpoint: missing array '{name}' ({path})")
         arr = arrays[name]
@@ -503,11 +489,12 @@ def load_checkpoint(path) -> InrModel:
                 f"corrupt checkpoint: encoder width {encoder.out_dim} != "
                 f"input_dim {cfg.input_dim} ({path})"
             )
-    n = cfg.n_layers
+    for name in hidden_biases:
+        arrays[f"bn_rm{name[1:]}"] -= arrays[name]
     model = InrModel(
         cfg,
         weights=[arrays[f"w{j}"] for j in range(1, n + 1)],
-        biases=[arrays[f"b{j}"] for j in range(1, n + 1)],
+        out_bias=arrays[f"b{n}"],
         bn_gamma=[arrays[f"bn_g{j}"] for j in range(1, n)],
         bn_beta=[arrays[f"bn_b{j}"] for j in range(1, n)],
         bn_mean=[arrays[f"bn_rm{j}"] for j in range(1, n)],

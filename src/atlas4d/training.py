@@ -103,7 +103,7 @@ class _Sampler:
     """Uniform coordinate/intensity sampling over (masked voxels) x times."""
 
     def __init__(self, series: Volume4D, mask: np.ndarray | None = None):
-        self.grid = coord_grid(series.dims, series.spacing)
+        self.grid = coord_grid(series.dims)
         self.values = series.stack()  # (n_times, n_voxels)
         self.t_norm = normalize_times(series.times, series.time_range)
         if mask is None:
@@ -315,7 +315,7 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     _check_pair(m1, m2)
     times = np.asarray(times, dtype=np.float64)
     t_norm = normalize_times(times, tuple(t_range))
-    grid = coord_grid(dims, spacing)
+    grid = coord_grid(dims)
     n = grid.shape[0]
     dims = tuple(int(d) for d in dims)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -162,7 +162,8 @@ def read_nifti(path) -> Volume3D:
 
     Applies scl_slope/scl_inter as NIfTI-1 (and nibabel) do: a slope that
     is 0 or non-finite means no scaling, and a non-finite intercept counts
-    as 0. The payload is converted to float64 working precision.
+    as 0. The payload is converted to float64 working precision; a NaN or
+    infinite voxel is an error.
     """
     path = Path(path)
     raw = _read_raw(path)
@@ -226,6 +227,8 @@ def read_nifti(path) -> Volume3D:
         scl_inter = 0.0
     if (scl_slope, scl_inter) != (1.0, 0.0):
         data = data * float(scl_slope) + float(scl_inter)
+    if not np.isfinite(data).all():
+        raise NiftiError(f"corrupt file: non-finite voxel values ({path})")
 
     return Volume3D(dims=dims, spacing=spacing, data=data)
 
@@ -290,13 +293,13 @@ def read_manifest(path) -> list[tuple[Path, float]]:
     """Parse a plain-text manifest: one `<path><TAB><time_weeks>` per line.
 
     Relative paths resolve against the manifest's directory. Blank lines and
-    `#` comments are ignored.
+    lines starting with `#` are ignored; a `#` elsewhere is part of the path.
     """
     path = Path(path)
     entries = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -309,14 +312,18 @@ def read_manifest(path) -> list[tuple[Path, float]]:
 
 
 def write_manifest(entries: Sequence[tuple], path) -> None:
+    """Write a manifest for read_manifest; a path it cannot read back raises ValueError."""
     path = Path(path)
     lines = []
     for p, t in entries:
         p = Path(p)
         try:
-            rel = p.relative_to(path.parent)
+            rel = str(p.relative_to(path.parent))
         except ValueError:
-            rel = p
+            rel = str(p)
+        if rel.startswith("#") or rel != rel.lstrip() or "\t" in rel or rel.splitlines() != [rel]:
+            raise ValueError(f"manifest cannot hold path {rel!r}: it starts with '#' or "
+                             f"whitespace, or holds a tab or line break")
         lines.append(f"{rel}\t{t:g}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -329,11 +336,15 @@ def normalize_intensity(series: Volume4D) -> Volume4D:
     """Map all intensities affinely to [0, 1] using the series-global range.
 
     The original (min, max) is kept in intensity_scale so exported volumes
-    can be mapped back. A constant series has no usable range and is an
-    error rather than a silent pass-through.
+    can be mapped back. A non-finite voxel or a constant series has no
+    usable range and is an error rather than a silent pass-through.
     """
-    gmin = min(float(v.data.min()) for v in series.volumes)
-    gmax = max(float(v.data.max()) for v in series.volumes)
+    lo = np.array([v.data.min() for v in series.volumes])
+    hi = np.array([v.data.max() for v in series.volumes])
+    bad = ~(np.isfinite(lo) & np.isfinite(hi))
+    if bad.any():
+        raise ValueError(f"non-finite intensity in the volume at time {series.times[bad][0]:g}")
+    gmin, gmax = float(lo.min()), float(hi.max())
     if gmax <= gmin:
         raise ValueError("degenerate intensity range: series is constant")
     scale = gmax - gmin
@@ -361,17 +372,15 @@ def _axis_coords(n: int) -> np.ndarray:
     return (2.0 * np.arange(n) - (n - 1)) / (n - 1)
 
 
-def coord_grid(dims: tuple[int, int, int], spacing=None) -> np.ndarray:
+def coord_grid(dims: tuple[int, int, int]) -> np.ndarray:
     """Normalized voxel-center coordinates, one (x, y, z) row per voxel.
 
     Each axis is mapped so centers span [-1, 1] (a single-voxel axis maps to
-    0). Row order matches the disk/flat data layout. Spacing is accepted for
-    interface symmetry and validated, but the normalization is per-axis.
+    0), whatever the physical spacing. Row order matches the disk/flat data
+    layout.
     """
     if len(dims) != 3 or any(int(d) < 1 for d in dims):
         raise ValueError(f"invalid dims {dims}")
-    if spacing is not None and any(s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be positive, got {spacing}")
     nx, ny, nz = (int(d) for d in dims)
     gx, gy, gz = np.meshgrid(
         _axis_coords(nx), _axis_coords(ny), _axis_coords(nz), indexing="ij"

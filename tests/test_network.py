@@ -27,8 +27,9 @@ def mse_loss(model, x, target):
 def gradcheck_max_rel_err(model, x, target, h=1e-5):
     """Central finite differences over every trainable parameter entry.
 
-    Relative error uses a 1e-6 floor so exact-zero gradients (biases that
-    feed batch norm) compare against finite-difference noise sanely.
+    Relative error uses a 1e-6 floor so gradients at or near zero (weights
+    into a dead ReLU unit, for example) compare against finite-difference
+    noise sanely.
     """
     y, cache = model.forward(x)
     grads = model.backward(cache, 2.0 * (y - target) / y.size)
@@ -103,7 +104,8 @@ class TestInit:
         for j in range(1, 19):
             fan_in = 320 if j == 1 else w + (320 if (j - 1) in (6, 12) else 0)
             out = 1 if j == 18 else w
-            total += out * fan_in + out          # weight + bias
+            total += out * fan_in                # weight
+        total += 1                               # output bias
         total += 17 * 2 * w                      # bn scale + shift
         assert model.num_params() == total
 
@@ -114,8 +116,7 @@ class TestForward:
         model = init_mlp(cfg, seed=0).eval()
         for w in model.weights:
             w[:] = 0.0
-        for b in model.biases:
-            b[:] = 0.0
+        model.out_bias[:] = 0.0
         y, cache = model.forward(np.random.default_rng(0).normal(size=(5, 4)))
         assert np.all(y == 0.0)
         assert cache is None
@@ -167,11 +168,10 @@ class TestForward:
                         bn_epsilon=eps)
         model = init_mlp(cfg, seed=0)
         model.weights[0][:] = [[1.0, 2.0]]
-        model.biases[0][:] = [0.5]
         model.bn_gamma[0][:] = [1.5]
         model.bn_beta[0][:] = [0.5]
         model.weights[1][:] = [[0.5]]
-        model.biases[1][:] = [0.1]
+        model.out_bias[:] = [0.1]
 
         x = np.array([[1.5, 0.0], [0.5, 1.0]])
         y, cache = model.forward(x)
@@ -210,7 +210,6 @@ class TestForward:
         model = init_mlp(cfg, seed=7)
         for j in range(3):
             model.weights[j][:] = 0.0
-            model.biases[j][:] = 0.0
         x = np.random.default_rng(7).normal(size=(8, 5))
         _, cache_x = model.forward(x)
         _, cache_0 = model.forward(np.zeros_like(x))
@@ -226,12 +225,12 @@ def _unfolded_eval(model, x):
     cfg = model.cfg
     a = x
     for j in range(1, cfg.n_layers):
-        z = a @ model.weights[j - 1].T + model.biases[j - 1]
+        z = a @ model.weights[j - 1].T
         xhat = (z - model.bn_mean[j - 1]) / np.sqrt(model.bn_var[j - 1] + cfg.bn_epsilon)
         a = np.maximum(xhat * model.bn_gamma[j - 1] + model.bn_beta[j - 1], 0.0)
         if j in cfg.skip_layers:
             a = np.concatenate([a, x], axis=1)
-    return (a @ model.weights[-1].T + model.biases[-1]).ravel()
+    return (a @ model.weights[-1].T + model.out_bias).ravel()
 
 
 @st.composite
@@ -301,6 +300,27 @@ class TestBackward:
         x = rng.normal(size=(4, 6))
         target = rng.normal(size=4)
         assert gradcheck_max_rel_err(model, x, target) < 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_layers=st.integers(2, 5), width=st.integers(1, 6), input_dim=st.integers(1, 6),
+           batch=st.integers(3, 8), data=st.data())
+    def test_finite_difference_agreement_random_architectures(
+            self, n_layers, width, input_dim, batch, data):
+        skips = data.draw(st.sets(st.integers(1, n_layers - 1)))
+        cfg = MlpConfig(input_dim=input_dim, hidden_width=width, n_layers=n_layers,
+                        skip_layers=tuple(skips))
+        model = init_mlp(cfg, seed=data.draw(st.integers(0, 2**16)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.normal(size=(batch, input_dim))
+        target = rng.normal(size=batch)
+        assert gradcheck_max_rel_err(model, x, target) < 1e-4
+
+    def test_gradients_cover_exactly_the_parameters(self):
+        model = self._small()
+        _, cache = model.forward(np.random.default_rng(5).normal(size=(4, 6)))
+        grads = model.backward(cache, np.ones(4))
+        assert set(grads) == set(model.params())
+        assert [k for k in grads if k[0] == "b" and k[1:].isdigit()] == ["b4"]
 
     def test_eval_mode_backward_rejected(self):
         model = self._small()
@@ -423,6 +443,37 @@ class TestCheckpoint:
         for k, v in model.state_dict().items():
             assert np.array_equal(back.state_dict()[k], v), k
 
+    def test_no_hidden_biases_saved(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(self._model(), p)
+        _, arrays = _unpack_container(p.read_bytes(), p)
+        assert [k for k in arrays if k[0] == "b" and k[1:].isdigit()] == ["b4"]
+
+    def test_hidden_biases_fold_into_running_means(self, tmp_path):
+        # Older checkpoints carry pre-batch-norm biases b1..b{n-1}. Eval then
+        # folded them as (b - running_mean) * scale + beta; loading must give
+        # that output bit for bit.
+        model = self._model()
+        model.forward(np.random.default_rng(1).normal(size=(16, model.cfg.input_dim)))
+        model.eval()
+        rng = np.random.default_rng(4)
+        n, w = model.cfg.n_layers, model.cfg.hidden_width
+        for j in range(n - 1):
+            model.bn_gamma[j][:] = rng.uniform(-2.0, 2.0, w)
+            model.bn_beta[j][:] = rng.normal(size=w)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(model, p)
+        meta, arrays = _unpack_container(p.read_bytes(), p)
+        hidden = [rng.uniform(-0.5, 0.5, w) for _ in range(n - 1)]
+        for j, b in enumerate(hidden, start=1):
+            arrays[f"b{j}"] = b
+        p.write_bytes(_pack_container(meta, arrays))
+        back = load_checkpoint(p)
+        x = np.random.default_rng(2).normal(size=(100, model.cfg.input_dim))
+        assert np.array_equal(back.forward(x)[0], _biased_fold_eval(model, hidden, x))
+        for j, b in enumerate(hidden, start=1):
+            assert np.array_equal(back.bn_mean[j - 1], model.bn_mean[j - 1] - b)
+
     def test_snapshot_round_trip_preserves_param_identity(self):
         model = self._model()
         params_before = model.params()
@@ -434,6 +485,30 @@ class TestCheckpoint:
         for k in params_before:
             assert params_before[k] is params_after[k]
             assert np.array_equal(params_after[k], snap[k])
+
+
+def _biased_fold_eval(model, hidden_biases, x):
+    """Eval forward of a model with pre-batch-norm biases, folded as
+    b' = (b - running_mean) * scale + beta in the order earlier versions used."""
+    cfg = model.cfg
+    width = cfg.hidden_width
+    a = x
+    for j in range(1, cfg.n_layers):
+        scale = model.bn_gamma[j - 1] / np.sqrt(model.bn_var[j - 1] + cfg.bn_epsilon)
+        w = model.weights[j - 1] * scale[:, None]
+        b = (hidden_biases[j - 1] - model.bn_mean[j - 1]) * scale
+        b += model.bn_beta[j - 1]
+        if j in cfg.skip_layers:
+            out = np.empty((x.shape[0], width + cfg.input_dim))
+            out[:, width:] = x
+            h = out[:, :width]
+            np.matmul(a, w.T, out=h)
+        else:
+            out = h = a @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
+        a = out
+    return (a @ model.weights[-1].T + model.out_bias).ravel()
 
 
 def _raw_checkpoint(meta_blob: bytes, entries) -> bytes:
@@ -504,7 +579,7 @@ class TestMalformedCheckpoint:
         with pytest.raises(CheckpointError, match=r"bad mlp meta.*bad\.ckpt"):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("name", ["bn_rv1", "bn_rm2", "w2", "b4"])
+    @pytest.mark.parametrize("name", ["bn_rv1", "bn_rm2", "w2", "b4", "b1"])
     def test_wrong_shape(self, tmp_path, name):
         meta, arrays = self._parts(tmp_path)
         arrays[name] = np.ones(7)  # no array of this model has 7 entries

@@ -275,9 +275,7 @@ class TestAveragePredict:
         model = _tiny_model(series, seed=seed)
         for w in model.weights:
             w[:] = 0.0
-        for b in model.biases:
-            b[:] = 0.0
-        model.biases[-1][:] = out_value
+        model.out_bias[:] = out_value
         return model.eval()
 
     def test_arithmetic_mean(self):

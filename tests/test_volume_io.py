@@ -109,6 +109,15 @@ class TestNifti:
         p.write_bytes(_raw_nifti(scl_slope=2.0, scl_inter=bad, payload=payload, end=end))
         assert np.all(read_nifti(p).data == 6.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_voxel_rejected(self, tmp_path, bad):
+        payload = np.arange(8, dtype=np.float64)
+        payload[5] = bad
+        p = tmp_path / "holey.nii"
+        p.write_bytes(_raw_nifti(payload=payload.tobytes()))
+        with pytest.raises(NiftiError, match=r"non-finite voxel.*holey\.nii"):
+            read_nifti(p)
+
     def test_4d_file_rejected(self, tmp_path):
         p = tmp_path / "fourd.nii"
         p.write_bytes(_raw_nifti(dim0=4))
@@ -226,6 +235,18 @@ class TestSeries:
         series = load_series(back)
         assert series.n_times == 3
 
+    def test_manifest_paths_with_hash_round_trip(self, tmp_path):
+        entries = [(tmp_path / "scan#1.nii", 21.0), (tmp_path / "scan#2.nii", 22.0)]
+        mp = tmp_path / "series.tsv"
+        write_manifest(entries, mp)
+        mp.write_text("# comment line\n" + mp.read_text())
+        assert read_manifest(mp) == entries
+
+    @pytest.mark.parametrize("name", ["#scan.nii", "a\tb.nii", "a\nb.nii"])
+    def test_manifest_rejects_unreadable_path(self, tmp_path, name):
+        with pytest.raises(ValueError, match="manifest cannot hold path"):
+            write_manifest([(tmp_path / name, 21.0)], tmp_path / "series.tsv")
+
 
 class TestNormalization:
     def _series(self, arrays, times=None):
@@ -250,6 +271,14 @@ class TestNormalization:
         out = normalize_intensity(self._series([a, a + 0.0]))
         assert out.intensity_scale == (0.0, 1.0)
         assert np.array_equal(out.volumes[0].data, a)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_voxel_rejected(self, bad):
+        a = np.zeros((2, 2, 2))
+        b = np.ones((2, 2, 2))
+        b[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite intensity .* time 5"):
+            normalize_intensity(self._series([a, b], times=[4.0, 5.0]))
 
     def test_constant_series_rejected(self):
         a = np.full((2, 2, 2), 3.0)
