@@ -14,7 +14,6 @@ from .metrics import (
     efc_slice,
     efc_volume,
     identity_field,
-    mse,
     msd_temporal,
     psnr,
     series_mse,

@@ -1,9 +1,10 @@
 """Command-line front end: phantom | pretrain | refine | infer | eval.
 
-Configuration comes from a `key = value` file (`#` starts a comment) with
-optional `--set key=value` overrides; unknown keys are rejected. Every
-command writes its outputs under the configured run directory and records
-them in an `artifacts_<command>.txt` manifest. All randomness flows from
+Configuration comes from a `key = value` file (`#` at the start of a line
+or after whitespace starts a comment) with optional `--set key=value`
+overrides; unknown keys are rejected. Every command writes its outputs
+under the configured run directory and records them in an
+`artifacts_<command>.txt` manifest. All randomness flows from
 config seeds, so a rerun with the same config reproduces identical bytes.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -32,6 +34,7 @@ from .training import (
 )
 from .volume_io import (
     Volume3D,
+    format_time,
     load_series,
     normalize_intensity,
     read_manifest,
@@ -113,7 +116,6 @@ _SCHEMA = {
     "eval.reference_manifest": (str, ""),
     "eval.label_threshold": (float, 0.75),
     "eval.efc_axis": (int, 2),
-    "eval.tc_class": (int, 1),
     "eval.psnr_peak": (float, 0.0),  # 0 = use the reference maximum
 }
 
@@ -149,7 +151,7 @@ def load_config(path, overrides=()) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -250,12 +252,12 @@ def cmd_phantom(cfg: RunConfig) -> None:
     manifests = {"clean": [], "noisy": [], "labels": []}
     for k, t in enumerate(clean.times):
         for name, vol in (("clean", clean.volumes[k]), ("noisy", noisy.volumes[k])):
-            p = out / f"{name}_w{t:g}.nii"
+            p = out / f"{name}_w{format_time(t)}.nii"
             write_nifti(vol, p)
             manifests[name].append((p, float(t)))
             produced.append(p)
         lab = labels[k]
-        p = out / f"labels_w{t:g}.nii"
+        p = out / f"labels_w{format_time(t)}.nii"
         write_nifti(Volume3D(lab.dims, lab.spacing, lab.data.astype(np.float64)), p)
         manifests["labels"].append((p, float(t)))
         produced.append(p)
@@ -336,7 +338,7 @@ def cmd_refine(cfg: RunConfig) -> None:
           f"l_cross {hist.l_cross[hist.best_epoch]:.3e}")
 
 
-def cmd_infer(cfg: RunConfig, times=None, scale=None) -> None:
+def cmd_infer(cfg: RunConfig) -> None:
     run_dir = cfg.run_dir
     stage = cfg["infer.stage"]
     if stage not in ("refined", "pretrained"):
@@ -348,14 +350,18 @@ def cmd_infer(cfg: RunConfig, times=None, scale=None) -> None:
         raise CheckpointError(
             f"checkpoint has no 'dims' meta: {run_dir / f'model1_{stage}.ckpt'}"
         )
-    if times is None:
-        times = cfg["infer.times"] or meta.get("times")
+    times = cfg["infer.times"] or meta.get("times")
     if not times:
         raise ConfigError("no inference times: set infer.times")
-    if scale is None:
-        scale = cfg["infer.scale"]
+    scale = cfg["infer.scale"]
     if scale <= 0:
         raise ConfigError("infer.scale must be positive")
+    t_range = meta.get("time_range")
+    outside = [t for t in times if t_range and not t_range[0] <= t <= t_range[1]]
+    if outside:
+        print(f"warning: infer times {', '.join(map(format_time, outside))} lie outside "
+              f"the training time range [{format_time(t_range[0])}, "
+              f"{format_time(t_range[1])}]; the model extrapolates there", file=sys.stderr)
 
     dims = tuple(max(1, round(d * scale)) for d in meta["dims"])
     spacing = tuple(s / scale for s in meta.get("spacing", (1.0, 1.0, 1.0)))
@@ -368,7 +374,7 @@ def cmd_infer(cfg: RunConfig, times=None, scale=None) -> None:
     produced = []
     entries = []
     for k, t in enumerate(recon.times):
-        p = out / f"recon_w{t:g}.nii"
+        p = out / f"recon_w{format_time(t)}.nii"
         write_nifti(recon.volumes[k], p)
         entries.append((p, float(t)))
         produced.append(p)
@@ -395,26 +401,26 @@ def cmd_eval(cfg: RunConfig) -> None:
     if recon.n_times != ref.n_times or recon.dims != ref.dims:
         raise ConfigError("recon and reference series do not match in shape")
 
+    # Thresholding gives class-1 maps, so DICE and TC score class 1.
     thr = cfg["eval.label_threshold"]
-    cls = cfg["eval.tc_class"]
     axis = cfg["eval.efc_axis"]
-    recon_labels = [met.threshold_labels(v, thr, cls) for v in recon.volumes]
-    ref_labels = [met.threshold_labels(v, thr, cls) for v in ref.volumes]
+    recon_labels = [met.threshold_labels(v, thr) for v in recon.volumes]
+    ref_labels = [met.threshold_labels(v, thr) for v in ref.volumes]
 
     efc = [met.efc_volume(v, axis) for v in recon.volumes]
-    dice_row = [met.dice(a, b, cls) for a, b in zip(recon_labels, ref_labels)]
-    tc_row = [met.tc(recon_labels, None, m, cls) for m in range(recon.n_times)]
+    dice_row = [met.dice(a, b, 1) for a, b in zip(recon_labels, ref_labels)]
+    tc_row = [met.tc(recon_labels, None, m, 1) for m in range(recon.n_times)]
     peak = cfg["eval.psnr_peak"]
     if peak <= 0:
         peak = float(max(v.data.max() for v in ref.volumes))
     g_mse = met.series_mse(recon, ref)
-    g_psnr = float("inf") if g_mse == 0 else 10.0 * np.log10(peak * peak / g_mse)
+    g_psnr = met.psnr(g_mse, peak)
 
     report = met.MetricsReport(
         times=[float(t) for t in recon.times],
         efc=efc,
         tc=tc_row,
-        dice={cls: dice_row},
+        dice={1: dice_row},
         mse=g_mse,
         psnr=g_psnr,
     )
@@ -445,26 +451,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config entry")
         if name == "infer":
-            p.add_argument("--times", help="comma-separated times to reconstruct")
-            p.add_argument("--scale", type=float, help="spatial resolution multiplier")
+            p.add_argument("--times", help="comma-separated times (sets infer.times)")
+            p.add_argument("--scale", help="resolution multiplier (sets infer.scale)")
     return parser
+
+
+_COMMANDS = {"phantom": cmd_phantom, "pretrain": cmd_pretrain, "refine": cmd_refine,
+             "infer": cmd_infer, "eval": cmd_eval}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = list(args.overrides)
+    # The infer flags are shorthands for their keys and win over --set.
+    if args.command == "infer":
+        if args.times:
+            overrides.append(f"infer.times={args.times}")
+        if args.scale is not None:
+            overrides.append(f"infer.scale={args.scale}")
     try:
-        cfg = load_config(args.config, args.overrides)
-        if args.command == "phantom":
-            cmd_phantom(cfg)
-        elif args.command == "pretrain":
-            cmd_pretrain(cfg)
-        elif args.command == "refine":
-            cmd_refine(cfg)
-        elif args.command == "infer":
-            times = _parse_float_list(args.times) if args.times else None
-            cmd_infer(cfg, times=times, scale=args.scale)
-        elif args.command == "eval":
-            cmd_eval(cfg)
+        _COMMANDS[args.command](load_config(args.config, overrides))
     except (ConfigError, StageOrderError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,9 +12,7 @@ it to plain neighbor DICE.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,12 +34,10 @@ class DisplacementField:
     """
 
     dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
     vectors: np.ndarray
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
-        self.spacing = tuple(float(s) for s in self.spacing)
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.shape != self.dims + (3,):
             raise ValueError(
@@ -51,31 +47,19 @@ class DisplacementField:
             raise ValueError("non-finite displacement field")
 
 
-def identity_field(dims, spacing=(1.0, 1.0, 1.0)) -> DisplacementField:
-    return DisplacementField(tuple(dims), tuple(spacing),
-                             np.zeros(tuple(dims) + (3,)))
+def identity_field(dims) -> DisplacementField:
+    return DisplacementField(tuple(dims), np.zeros(tuple(dims) + (3,)))
 
 
 # ---------------------------------------------------------------------------
 # Fidelity
 
 
-def _check_dims(a, b):
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-
-
-def mse(a: Volume3D, b: Volume3D) -> float:
-    _check_dims(a, b)
-    return float(np.mean((a.data - b.data) ** 2))
-
-
-def psnr(a: Volume3D, b: Volume3D, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / mse); identical volumes give +inf."""
-    m = mse(a, b)
-    if m == 0.0:
+def psnr(mse: float, peak: float) -> float:
+    """10*log10(peak^2 / mse); a zero MSE gives +inf."""
+    if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / m)
+    return float(10.0 * np.log10(peak * peak / mse))
 
 
 def series_mse(a: Volume4D, b: Volume4D) -> float:
@@ -145,7 +129,8 @@ def efc_volume(vol: Volume3D, slice_axis: int = 2) -> float:
 
 def dice(a: LabelVolume, b: LabelVolume, class_id: int) -> float:
     """Percent DICE overlap of one class; two empty sets count as 100."""
-    _check_dims(a, b)
+    if a.dims != b.dims:
+        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
     in_a = a.data == class_id
     in_b = b.data == class_id
     na = int(in_a.sum())
@@ -177,7 +162,7 @@ def warp_labels(labels: LabelVolume, fld: DisplacementField) -> LabelVolume:
     )
     out = np.zeros(labels.dims, dtype=np.int64)
     out[valid] = labels.data[sx[valid], sy[valid], sz[valid]]
-    return LabelVolume(labels.dims, labels.spacing, out, labels.n_classes)
+    return LabelVolume(labels.dims, labels.spacing, out)
 
 
 def tc(labels: Sequence[LabelVolume],
@@ -208,50 +193,9 @@ def tc(labels: Sequence[LabelVolume],
     return float(np.mean(scores))
 
 
-def threshold_labels(vol: Volume3D, threshold: float, class_id: int = 1) -> LabelVolume:
-    """Binary label map of voxels strictly above an intensity threshold."""
-    data = np.where(vol.data > threshold, class_id, 0).astype(np.int64)
-    return LabelVolume(vol.dims, vol.spacing, data, n_classes=class_id)
-
-
-# ---------------------------------------------------------------------------
-# Displacement-field files: magic | u32 version | u32 nx,ny,nz
-# | f64 sx,sy,sz | nx*ny*nz little-endian f64 (dx,dy,dz) triples in
-# disk voxel order (x fastest).
-
-_FIELD_MAGIC = b"A4DDISP\x00"
-_FIELD_VERSION = 1
-
-
-def write_displacement_field(fld: DisplacementField, path) -> None:
-    nx, ny, nz = fld.dims
-    head = _FIELD_MAGIC + struct.pack("<IIII", _FIELD_VERSION, nx, ny, nz)
-    head += struct.pack("<3d", *fld.spacing)
-    # One component triple per voxel, voxels in disk order (x fastest).
-    vecs = np.stack(
-        [fld.vectors[..., c].ravel(order="F") for c in range(3)], axis=1
-    )
-    Path(path).write_bytes(head + vecs.astype("<f8").tobytes())
-
-
-def read_displacement_field(path) -> DisplacementField:
-    raw = Path(path).read_bytes()
-    head_size = len(_FIELD_MAGIC) + 16 + 24
-    if len(raw) < head_size or raw[: len(_FIELD_MAGIC)] != _FIELD_MAGIC:
-        raise ValueError(f"not a displacement field file: {path}")
-    version, nx, ny, nz = struct.unpack_from("<IIII", raw, len(_FIELD_MAGIC))
-    if version != _FIELD_VERSION:
-        raise ValueError(f"displacement field version mismatch: {version}")
-    spacing = struct.unpack_from("<3d", raw, len(_FIELD_MAGIC) + 16)
-    n = nx * ny * nz
-    if len(raw) < head_size + n * 24:
-        raise ValueError(f"truncated displacement field file: {path}")
-    flat = np.frombuffer(raw, dtype="<f8", count=n * 3, offset=head_size)
-    flat = flat.reshape(n, 3)
-    vectors = np.empty((nx, ny, nz, 3))
-    for c in range(3):
-        vectors[..., c] = flat[:, c].reshape((nx, ny, nz), order="F")
-    return DisplacementField((nx, ny, nz), spacing, vectors)
+def threshold_labels(vol: Volume3D, threshold: float) -> LabelVolume:
+    """Class-1 label map of voxels strictly above an intensity threshold."""
+    return LabelVolume(vol.dims, vol.spacing, (vol.data > threshold).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -275,15 +275,6 @@ class InrModel:
             grads[f"w{j}"] = dz.T @ cache.inputs[j - 1]
         return grads
 
-    def predict(self, points: np.ndarray) -> np.ndarray:
-        """Eval-mode intensities for normalized (x, y, z, t) points."""
-        if self.encoder is None:
-            raise ValueError("model has no encoder attached")
-        if self.mode != "eval":
-            raise ValueError("predict requires eval mode")
-        y, _ = self.forward(self.encoder.encode(np.atleast_2d(points)))
-        return y
-
 
 def init_mlp(cfg: MlpConfig, seed: int = 0, encoder: FourierEncoder | None = None) -> InrModel:
     """Fresh model: fan-in-scaled uniform weights, identity batch norm."""

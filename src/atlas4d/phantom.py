@@ -19,7 +19,6 @@ from .volume_io import LabelVolume, Volume3D, Volume4D
 # Mild anisotropy of the outer shell keeps the geometry non-spherical; the
 # inner structure is a centered sphere so jitter has room in both directions.
 _OUTER_ANISOTROPY = (1.0, 0.92, 0.86)
-_INNER_OFFSET_VOXELS = (0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -74,8 +73,7 @@ def _compose(cfg: PhantomConfig, t: float, inner_r: float) -> tuple[np.ndarray, 
     rho = np.sqrt((x / ax) ** 2 + (y / ay) ** 2 + (z / az) ** 2)
     s_out = _smoothstep((1.0 - rho) * r_out / cfg.edge_width + 0.5)
 
-    ox, oy, oz = _INNER_OFFSET_VOXELS
-    d_in = np.sqrt((x - ox) ** 2 + (y - oy) ** 2 + (z - oz) ** 2)
+    d_in = np.sqrt(x ** 2 + y ** 2 + z ** 2)
     s_in = _smoothstep((inner_r - d_in) / cfg.edge_width + 0.5)
 
     bg, tissue, inner = cfg.levels
@@ -85,7 +83,6 @@ def _compose(cfg: PhantomConfig, t: float, inner_r: float) -> tuple[np.ndarray, 
 
 def _check_geometry(cfg: PhantomConfig) -> None:
     half = min(cfg.dims) / 2.0
-    offset = float(np.linalg.norm(_INNER_OFFSET_VOXELS))
     for t in cfg.times():
         r_out = cfg.outer_at(t)
         r_in = cfg.inner_at(t)
@@ -93,7 +90,7 @@ def _check_geometry(cfg: PhantomConfig) -> None:
             raise ValueError(f"phantom radius escapes the grid at t={t:g}")
         if r_in <= 0:
             raise ValueError(f"inner radius not positive at t={t:g}")
-        if r_in + offset + cfg.edge_width + 0.5 > r_out * min(_OUTER_ANISOTROPY):
+        if r_in + cfg.edge_width + 0.5 > r_out * min(_OUTER_ANISOTROPY):
             raise ValueError(f"inner structure escapes the outer shell at t={t:g}")
 
 
@@ -111,17 +108,16 @@ def generate(cfg: PhantomConfig) -> tuple[Volume4D, Volume4D, list[LabelVolume]]
 
     jitter_rng = np.random.default_rng([cfg.seed, 0])
     jitter = jitter_rng.normal(0.0, cfg.structural_jitter_sigma, cfg.n_times)
-    offset = float(np.linalg.norm(_INNER_OFFSET_VOXELS))
 
     clean_vols, noisy_vols, labels = [], [], []
     for k, t in enumerate(times):
         clean, s_in = _compose(cfg, t, cfg.inner_at(t))
         clean_vols.append(Volume3D(cfg.dims, spacing, clean))
         labels.append(
-            LabelVolume(cfg.dims, spacing, (s_in >= 1.0).astype(np.int64), n_classes=1)
+            LabelVolume(cfg.dims, spacing, (s_in >= 1.0).astype(np.int64))
         )
 
-        r_max = cfg.outer_at(t) * min(_OUTER_ANISOTROPY) - offset - cfg.edge_width - 1.0
+        r_max = cfg.outer_at(t) * min(_OUTER_ANISOTROPY) - cfg.edge_width - 1.0
         r_noisy = float(np.clip(cfg.inner_at(t) + jitter[k], 0.8, r_max))
         noisy, _ = _compose(cfg, t, r_noisy)
         if cfg.intensity_noise_sigma > 0:

@@ -74,7 +74,6 @@ class LabelVolume:
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     data: np.ndarray
-    n_classes: int = 0  # highest valid class id; 0 means "infer from data"
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -91,12 +90,6 @@ class LabelVolume:
             )
         if self.data.min(initial=0) < 0:
             raise ValueError("label ids must be >= 0")
-        if self.n_classes == 0:
-            self.n_classes = int(self.data.max(initial=0))
-        elif self.data.max(initial=0) > self.n_classes:
-            raise ValueError(
-                f"label id {int(self.data.max())} exceeds declared {self.n_classes}"
-            )
 
 
 @dataclass
@@ -311,6 +304,11 @@ def read_manifest(path) -> list[tuple[Path, float]]:
     return entries
 
 
+def format_time(t: float) -> str:
+    """Shortest decimal that reads back as exactly `t` ("21", "21.5", "21.428571428571427")."""
+    return np.format_float_positional(float(t), trim="-")
+
+
 def write_manifest(entries: Sequence[tuple], path) -> None:
     """Write a manifest for read_manifest; a path it cannot read back raises ValueError."""
     path = Path(path)
@@ -324,7 +322,7 @@ def write_manifest(entries: Sequence[tuple], path) -> None:
         if rel.startswith("#") or rel != rel.lstrip() or "\t" in rel or rel.splitlines() != [rel]:
             raise ValueError(f"manifest cannot hold path {rel!r}: it starts with '#' or "
                              f"whitespace, or holds a tab or line break")
-        lines.append(f"{rel}\t{t:g}")
+        lines.append(f"{rel}\t{format_time(t)}")
     path.write_text("\n".join(lines) + "\n")
 
 

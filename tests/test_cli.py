@@ -57,8 +57,9 @@ def _run(*argv):
 
 class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        # `threads` is rejected too: BLAS threads are set in the environment
-        for line in ("not.a.key = 1", "threads = 2"):
+        # `threads` is rejected too: BLAS threads are set in the environment;
+        # `eval.tc_class` too: thresholded maps only hold class 1
+        for line in ("not.a.key = 1", "threads = 2", "eval.tc_class = 1"):
             cfg = tmp_path / "bad.cfg"
             cfg.write_text(f"run_dir = out\n{line}\n")
             assert _run("phantom", "--config", str(cfg)) == 1
@@ -78,6 +79,11 @@ class TestConfigParsing:
         parsed = load_config(cfg, overrides=["train.batch_size=4"])
         assert parsed["train.batch_size"] == 4
         assert parsed.run_dir == tmp_path / "out"
+
+    def test_hash_inside_value_kept(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("run_dir = out#1\t# comment after a tab\n")
+        assert load_config(cfg).run_dir == tmp_path / "out#1"
 
     def test_defaults_fill_missing_keys(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -184,6 +190,35 @@ class TestPipeline:
         rc = _run("infer", "--config", str(cfg), "--times", "22",
                   "--set", "infer.stage=pretrained")
         assert rc == 0
+
+    def test_infer_flags_override_set(self, finished_run):
+        tmp_path, cfg = finished_run
+        rc = _run("infer", "--config", str(cfg), "--set", "infer.times=23",
+                  "--times", "22", "--set", "infer.scale=3", "--scale", "0.5")
+        assert rc == 0
+        entries = read_manifest(tmp_path / "run" / "recon" / "recon.tsv")
+        assert [t for _, t in entries] == [22.0]
+        assert read_nifti(entries[0][0]).dims == (8, 8, 8)
+
+    def test_infer_close_times_get_distinct_files(self, finished_run):
+        tmp_path, cfg = finished_run
+        rc = _run("infer", "--config", str(cfg), "--times", "21.4285714,21.4285719")
+        assert rc == 0
+        entries = read_manifest(tmp_path / "run" / "recon" / "recon.tsv")
+        assert [t for _, t in entries] == [21.4285714, 21.4285719]
+        assert entries[0][0] != entries[1][0]
+        assert all(p.is_file() for p, _ in entries)
+
+    def test_infer_warns_outside_training_range(self, finished_run, capsys):
+        tmp_path, cfg = finished_run
+        assert _run("infer", "--config", str(cfg), "--times", "21.5,26") == 0
+        assert "warning" not in capsys.readouterr().err
+        assert _run("infer", "--config", str(cfg), "--times", "20,22") == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "20" in warnings[0] and "22" not in warnings[0]
+        assert "[21, 26]" in warnings[0]
 
 
 def _hash_tree(root):

@@ -11,15 +11,12 @@ from atlas4d.metrics import (
     efc_slice,
     efc_volume,
     identity_field,
-    mse,
     msd_temporal,
     psnr,
-    read_displacement_field,
     series_mse,
     tc,
     threshold_labels,
     warp_labels,
-    write_displacement_field,
 )
 from atlas4d.volume_io import LabelVolume, Volume3D, Volume4D
 
@@ -37,25 +34,23 @@ def _labels(data):
 class TestFidelity:
     def test_mse_identity(self):
         v = _vol(np.random.default_rng(0).uniform(0, 1, (3, 3, 3)))
-        assert mse(v, v) == 0.0
+        s = Volume4D([v, v], np.arange(2.0))
+        assert series_mse(s, s) == 0.0
+        assert math.isinf(psnr(series_mse(s, s), peak=1.0))
 
     def test_mse_constant_offset(self):
-        a = _vol(np.zeros((4, 4, 4)))
-        b = _vol(np.full((4, 4, 4), 0.1))
-        assert mse(a, b) == pytest.approx(0.01, abs=1e-15)
+        a = Volume4D([_vol(np.zeros((4, 4, 4)))] * 2, np.arange(2.0))
+        b = Volume4D([_vol(np.full((4, 4, 4), 0.1))] * 2, np.arange(2.0))
+        assert series_mse(a, b) == pytest.approx(0.01, abs=1e-15)
+        assert psnr(series_mse(a, b), peak=1.0) == pytest.approx(20.0, abs=1e-9)
 
     def test_psnr_formula(self):
-        a = _vol(np.zeros((4, 4, 4)))
-        b = _vol(np.full((4, 4, 4), 0.1))
-        assert psnr(a, b, peak=1.0) == pytest.approx(20.0, abs=1e-9)
+        assert psnr(0.01, peak=1.0) == pytest.approx(20.0, abs=1e-9)
+        assert psnr(0.01, peak=2.0) == pytest.approx(20.0 + 20.0 * math.log10(2.0),
+                                                      abs=1e-9)
 
     def test_psnr_identical_is_inf(self):
-        v = _vol(np.ones((2, 2, 2)))
-        assert math.isinf(psnr(v, v))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mse(_vol(np.zeros((2, 2, 2))), _vol(np.zeros((3, 2, 2))))
+        assert psnr(0.0, peak=1.0) == math.inf
 
     def test_msd_temporal_hand_case(self):
         # single voxel over times [0,0,1,0,0]: second diffs 1, -2, 1
@@ -136,6 +131,11 @@ class TestDice:
         b[1] = b[2] = 1
         assert dice(_labels(a), _labels(b), 1) == 50.0
 
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            dice(_labels(np.zeros((2, 2, 2), dtype=int)),
+                 _labels(np.zeros((3, 2, 2), dtype=int)), 1)
+
     def test_both_empty_is_100(self):
         z = _labels(np.zeros((2, 2, 2), dtype=int))
         assert dice(z, z, 3) == 100.0
@@ -174,7 +174,7 @@ class TestWarp:
         lab = _labels(data)
         vectors = np.zeros((5, 3, 3, 3))
         vectors[..., 0] = 1.0  # output voxel v reads source at v + (1,0,0)
-        out = warp_labels(lab, DisplacementField(lab.dims, (1, 1, 1), vectors))
+        out = warp_labels(lab, DisplacementField(lab.dims, vectors))
         expected = np.zeros((5, 3, 3), dtype=int)
         expected[1, 1, 1] = 1
         assert np.array_equal(out.data, expected)
@@ -182,14 +182,14 @@ class TestWarp:
     def test_out_of_bounds_becomes_background(self):
         lab = _labels(np.ones((2, 2, 2), dtype=int))
         vectors = np.full((2, 2, 2, 3), 10.0)
-        out = warp_labels(lab, DisplacementField(lab.dims, (1, 1, 1), vectors))
+        out = warp_labels(lab, DisplacementField(lab.dims, vectors))
         assert np.all(out.data == 0)
 
     def test_non_finite_field_rejected(self):
         vectors = np.zeros((2, 2, 2, 3))
         vectors[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            DisplacementField((2, 2, 2), (1, 1, 1), vectors)
+            DisplacementField((2, 2, 2), vectors)
 
 
 def _brute_force_tc(labels, m, class_id):
@@ -259,27 +259,6 @@ class TestTc:
         series = self._series(n=1)
         with pytest.raises(ValueError, match="no valid neighbors"):
             tc(series, None, 0, 1)
-
-
-class TestFieldFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        fld = DisplacementField((3, 4, 5), (1.0, 0.8, 2.0),
-                                rng.normal(size=(3, 4, 5, 3)))
-        p = tmp_path / "field.dsp"
-        write_displacement_field(fld, p)
-        back = read_displacement_field(p)
-        assert back.dims == fld.dims
-        assert np.allclose(back.spacing, fld.spacing)
-        assert np.array_equal(back.vectors, fld.vectors)
-
-    def test_truncated(self, tmp_path):
-        fld = identity_field((2, 2, 2))
-        p = tmp_path / "field.dsp"
-        write_displacement_field(fld, p)
-        p.write_bytes(p.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            read_displacement_field(p)
 
 
 class TestThresholdLabels:

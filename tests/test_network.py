@@ -401,6 +401,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(p)
 
+    @settings(max_examples=100, deadline=None)
+    @given(bit=st.integers(0, 2**31))
+    def test_any_single_bit_flip_raises_checkpoint_error(self, tmp_path_factory, bit):
+        p = tmp_path_factory.mktemp("flip") / "m.ckpt"
+        save_checkpoint(self._model(), p)
+        blob = bytearray(p.read_bytes())
+        bit %= 8 * len(blob)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+
     def test_version_mismatch(self, tmp_path):
         import struct
         import zlib

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlas4d.optimizer import DivergenceError, LrSchedule
 from atlas4d.phantom import PhantomConfig, generate
@@ -76,6 +78,26 @@ class TestSplit:
         for m in split.midpoints:
             assert 21.0 < m < 28.0
             assert m not in [21.0, 22.0, 24.0, 28.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=40, unique=True))
+    def test_split_invariants(self, values):
+        t = np.sort(np.array(values))
+        split = split_timepoints(t)
+        last = len(t) - 1
+        assert split.set1[0] == split.set2[0] == 0
+        assert split.set1[-1] == split.set2[-1] == last
+        assert set(split.set1) | set(split.set2) == set(range(len(t)))
+        assert set(split.set1) & set(split.set2) == {0, last}
+        # Interior indices alternate: set1 holds the even ones, set2 the odd ones.
+        assert split.set1[1:-1] == list(range(2, last, 2))
+        assert split.set2[1:-1] == list(range(1, last, 2))
+        # Each midpoint lies strictly inside its own consecutive pair.
+        pair = np.searchsorted(t, split.midpoints)
+        assert np.all(np.diff(pair) > 0)
+        assert np.all((pair >= 1) & (pair <= last))
+        assert np.all((t[pair - 1] < split.midpoints) & (split.midpoints < t[pair]))
+        assert not np.isin(split.midpoints, t).any()
 
 
 class TestSampleBatch:
@@ -302,13 +324,6 @@ class TestAveragePredict:
         pts = np.random.default_rng(0).uniform(-1, 1, (10, 4))
         assert np.array_equal(average_predict(m1, m2, pts),
                               average_predict(m2, m1, pts))
-
-    def test_single_model_predict_matches_forward(self):
-        series = _constant_series()
-        model = _tiny_model(series, seed=4).eval()
-        pts = np.random.default_rng(1).uniform(-1, 1, (6, 4))
-        direct, _ = model.forward(model.encoder.encode(pts))
-        assert np.array_equal(model.predict(pts), direct)
 
     def test_train_mode_rejected(self):
         series = _constant_series()

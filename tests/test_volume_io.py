@@ -235,6 +235,15 @@ class TestSeries:
         series = load_series(back)
         assert series.n_times == 3
 
+    def test_manifest_times_round_trip_exactly(self, tmp_path):
+        entries = [(tmp_path / "a.nii", 21 + 3 / 7), (tmp_path / "b.nii", 22.0),
+                   (tmp_path / "c.nii", 22.5)]
+        mp = tmp_path / "series.tsv"
+        write_manifest(entries, mp)
+        assert read_manifest(mp) == entries
+        # Whole and half weeks keep their short form.
+        assert [ln.split("\t")[1] for ln in mp.read_text().splitlines()[1:]] == ["22", "22.5"]
+
     def test_manifest_paths_with_hash_round_trip(self, tmp_path):
         entries = [(tmp_path / "scan#1.nii", 21.0), (tmp_path / "scan#2.nii", 22.0)]
         mp = tmp_path / "series.tsv"
