@@ -379,6 +379,12 @@ def cmd_infer(cfg: RunConfig) -> None:
         entries.append((p, float(t)))
         produced.append(p)
     mp = out / "recon.tsv"
+    # Volumes the previous manifest listed but this one does not are stale;
+    # only files in the recon directory itself are ever removed.
+    if mp.is_file():
+        for p, _ in read_manifest(mp):
+            if p not in produced and p.parent.resolve() == out.resolve():
+                p.unlink(missing_ok=True)
     write_manifest(entries, mp)
     produced.append(mp)
     _write_artifacts(run_dir, "infer", produced)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .volume_io import LabelVolume, Volume3D, Volume4D
+from .volume_io import LabelVolume, Volume3D, Volume4D, format_time
 
 
 class BackgroundSliceError(ValueError):
@@ -112,8 +112,11 @@ def efc_volume(vol: Volume3D, slice_axis: int = 2) -> float:
     if slice_axis not in (0, 1, 2):
         raise ValueError("slice_axis must be 0, 1, or 2")
     values = []
+    lead = (slice(None),) * slice_axis
     for k in range(vol.dims[slice_axis]):
-        sl = np.take(vol.data, k, axis=slice_axis)
+        # A basic-index view; np.take copies through a slow gather on the
+        # Fortran-ordered arrays read_nifti returns.
+        sl = vol.data[lead + (k,)]
         try:
             values.append(efc_slice(sl))
         except BackgroundSliceError:
@@ -232,7 +235,7 @@ class MetricsReport:
         def fmt(v):
             return f"{v:.6g}"
 
-        lines = ["metric\t" + "\t".join(f"{t:g}" for t in self.times)]
+        lines = ["metric\t" + "\t".join(format_time(t) for t in self.times)]
         lines.append("efc\t" + "\t".join(fmt(v) for v in self.efc))
         for cls in sorted(self.dice):
             lines.append(

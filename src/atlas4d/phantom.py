@@ -56,29 +56,36 @@ class PhantomConfig:
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
-    s = np.clip(u, 0.0, 1.0)
-    return s * s * (3.0 - 2.0 * s)
+    """Smoothstep of u clipped to [0, 1], overwriting u (pass a temporary).
+
+    Evaluated as (s*s) * (3 - 2*s); another grouping changes the last bits.
+    """
+    s = np.clip(u, 0.0, 1.0, out=u)
+    sq = s * s
+    s *= 2.0
+    np.subtract(3.0, s, out=s)
+    sq *= s
+    return sq
 
 
-def _compose(cfg: PhantomConfig, t: float, inner_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Intensity volume and inner-structure membership for one time point."""
-    nx, ny, nz = cfg.dims
-    cx, cy, cz = ((n - 1) / 2.0 for n in cfg.dims)
-    x = np.arange(nx)[:, None, None] - cx
-    y = np.arange(ny)[None, :, None] - cy
-    z = np.arange(nz)[None, None, :] - cz
-
+def _outer_shell(cfg: PhantomConfig, x, y, z, t: float) -> np.ndarray:
+    """Soft membership of the anisotropic outer ellipsoid at time t."""
     r_out = cfg.outer_at(t)
     ax, ay, az = (a * r_out for a in _OUTER_ANISOTROPY)
     rho = np.sqrt((x / ax) ** 2 + (y / ay) ** 2 + (z / az) ** 2)
-    s_out = _smoothstep((1.0 - rho) * r_out / cfg.edge_width + 0.5)
+    return _smoothstep((1.0 - rho) * r_out / cfg.edge_width + 0.5)
 
-    d_in = np.sqrt(x ** 2 + y ** 2 + z ** 2)
+
+def _compose(cfg: PhantomConfig, s_out: np.ndarray, d_in: np.ndarray,
+             inner_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Intensity volume and inner-structure membership for one time point.
+
+    s_out is the outer-shell membership and d_in the distance of each voxel
+    from the grid center.
+    """
     s_in = _smoothstep((inner_r - d_in) / cfg.edge_width + 0.5)
-
     bg, tissue, inner = cfg.levels
-    vol = bg + (tissue - bg) * s_out + (inner - tissue) * s_in
-    return vol, s_in
+    return bg + (tissue - bg) * s_out + (inner - tissue) * s_in, s_in
 
 
 def _check_geometry(cfg: PhantomConfig) -> None:
@@ -109,9 +116,16 @@ def generate(cfg: PhantomConfig) -> tuple[Volume4D, Volume4D, list[LabelVolume]]
     jitter_rng = np.random.default_rng([cfg.seed, 0])
     jitter = jitter_rng.normal(0.0, cfg.structural_jitter_sigma, cfg.n_times)
 
+    cx, cy, cz = ((n - 1) / 2.0 for n in cfg.dims)
+    x = np.arange(cfg.dims[0])[:, None, None] - cx
+    y = np.arange(cfg.dims[1])[None, :, None] - cy
+    z = np.arange(cfg.dims[2])[None, None, :] - cz
+    d_in = np.sqrt(x ** 2 + y ** 2 + z ** 2)
+
     clean_vols, noisy_vols, labels = [], [], []
     for k, t in enumerate(times):
-        clean, s_in = _compose(cfg, t, cfg.inner_at(t))
+        s_out = _outer_shell(cfg, x, y, z, t)
+        clean, s_in = _compose(cfg, s_out, d_in, cfg.inner_at(t))
         clean_vols.append(Volume3D(cfg.dims, spacing, clean))
         labels.append(
             LabelVolume(cfg.dims, spacing, (s_in >= 1.0).astype(np.int64))
@@ -119,10 +133,10 @@ def generate(cfg: PhantomConfig) -> tuple[Volume4D, Volume4D, list[LabelVolume]]
 
         r_max = cfg.outer_at(t) * min(_OUTER_ANISOTROPY) - cfg.edge_width - 1.0
         r_noisy = float(np.clip(cfg.inner_at(t) + jitter[k], 0.8, r_max))
-        noisy, _ = _compose(cfg, t, r_noisy)
+        noisy, _ = _compose(cfg, s_out, d_in, r_noisy)
         if cfg.intensity_noise_sigma > 0:
             noise_rng = np.random.default_rng([cfg.seed, 1, k])
-            noisy = noisy + noise_rng.normal(0.0, cfg.intensity_noise_sigma, cfg.dims)
+            noisy += noise_rng.normal(0.0, cfg.intensity_noise_sigma, cfg.dims)
         noisy_vols.append(Volume3D(cfg.dims, spacing, noisy))
 
     clean_series = Volume4D(clean_vols, times)

@@ -83,7 +83,7 @@ class LabelVolume:
         self.data = np.asarray(self.data)
         if not np.issubdtype(self.data.dtype, np.integer):
             raise ValueError("label data must be integer")
-        self.data = self.data.astype(np.int64)
+        self.data = self.data.astype(np.int64, copy=False)
         if self.data.shape != self.dims:
             raise ValueError(
                 f"data shape {self.data.shape} does not match dims {self.dims}"

@@ -185,6 +185,23 @@ class TestPipeline:
         vol = read_nifti(entries[0][0])
         assert vol.dims == (32, 32, 32)
 
+    def test_infer_removes_stale_recon_files(self, finished_run):
+        tmp_path, cfg = finished_run
+        recon = tmp_path / "run" / "recon"
+        assert _run("infer", "--config", str(cfg)) == 0
+        keep = tmp_path / "run" / "phantom" / "noisy_w21.nii"
+        # A hand-edited manifest entry outside the recon directory is never removed.
+        with open(recon / "recon.tsv", "a") as fh:
+            fh.write("../phantom/noisy_w21.nii\t30\n")
+        assert _run("infer", "--config", str(cfg), "--times", "21.5", "--scale", "2.0") == 0
+        listed = [p for p, _ in read_manifest(recon / "recon.tsv")]
+        assert sorted(p.name for p in recon.glob("*.nii")) == ["recon_w21.5.nii"]
+        assert [p.name for p in listed] == ["recon_w21.5.nii"]
+        assert keep.is_file()
+        # The same times again: nothing is removed.
+        assert _run("infer", "--config", str(cfg), "--times", "21.5", "--scale", "2.0") == 0
+        assert listed[0].is_file()
+
     def test_infer_pretrained_stage(self, finished_run):
         tmp_path, cfg = finished_run
         rc = _run("infer", "--config", str(cfg), "--times", "22",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlas4d.metrics import (
     BackgroundSliceError,
@@ -109,6 +111,21 @@ class TestEfc:
     def test_all_background_errors(self):
         with pytest.raises(ValueError, match="all slices background"):
             efc_volume(_vol(np.zeros((3, 3, 3))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(2, 7), st.integers(2, 7), st.integers(2, 7)),
+           order=st.sampled_from("CF"), axis=st.integers(0, 2),
+           n_zero=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_volume_is_mean_of_nonbackground_slices(self, dims, order, axis, n_zero, seed):
+        # Bit-for-bit against the slice definition, for both memory layouts
+        # (read_nifti returns Fortran-ordered data).
+        rng = np.random.default_rng(seed)
+        data = np.asarray(rng.normal(size=dims), order=order)
+        zero = rng.choice(dims[axis], size=min(n_zero, dims[axis] - 1), replace=False)
+        data[(slice(None),) * axis + (zero,)] = 0.0
+        want = [efc_slice(np.take(data, k, axis=axis))
+                for k in range(dims[axis]) if k not in zero]
+        assert efc_volume(_vol(data), slice_axis=axis) == float(np.mean(want))
 
 
 class TestDice:
@@ -280,6 +297,13 @@ class TestReport:
         assert lines[3].startswith("tc\t")
         assert lines[4].startswith("mse\t")
         assert lines[5].startswith("psnr\t")
+
+    def test_header_times_are_exact(self):
+        # Close times get distinct columns; whole and half weeks stay short.
+        rep = MetricsReport(times=[21.4285714, 21.4285719, 22.0, 22.5],
+                            efc=[0.3] * 4, tc=[90.0] * 4)
+        header = rep.to_tsv().split("\n")[0].split("\t")
+        assert header == ["metric", "21.4285714", "21.4285719", "22", "22.5"]
 
     def test_length_validation(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,44 @@ def test_structural_jitter_raises_temporal_roughness():
     assert np.mean(ratios) > 1.0
 
 
+def test_generate_matches_per_time_formula():
+    # The phantom as one closed-form expression per time point; generate
+    # shares grid terms across time points and must still agree bit for bit.
+    cfg = _small_cfg(dims=(24, 24, 24), n_times=3, time_end=23.0,
+                     structural_jitter_sigma=0.8, intensity_noise_sigma=0.05, seed=5)
+
+    def smoothstep(u):
+        s = np.clip(u, 0.0, 1.0)
+        return s * s * (3.0 - 2.0 * s)
+
+    def compose(t, inner_r):
+        cx, cy, cz = ((n - 1) / 2.0 for n in cfg.dims)
+        x = np.arange(cfg.dims[0])[:, None, None] - cx
+        y = np.arange(cfg.dims[1])[None, :, None] - cy
+        z = np.arange(cfg.dims[2])[None, None, :] - cz
+        r_out = cfg.outer_at(t)
+        ax, ay, az = (a * r_out for a in (1.0, 0.92, 0.86))
+        rho = np.sqrt((x / ax) ** 2 + (y / ay) ** 2 + (z / az) ** 2)
+        s_out = smoothstep((1.0 - rho) * r_out / cfg.edge_width + 0.5)
+        d_in = np.sqrt(x ** 2 + y ** 2 + z ** 2)
+        s_in = smoothstep((inner_r - d_in) / cfg.edge_width + 0.5)
+        bg, tissue, inner = cfg.levels
+        return bg + (tissue - bg) * s_out + (inner - tissue) * s_in, s_in
+
+    clean, noisy, labels = generate(cfg)
+    jitter = np.random.default_rng([cfg.seed, 0]).normal(
+        0.0, cfg.structural_jitter_sigma, cfg.n_times)
+    for k, t in enumerate(cfg.times()):
+        want_clean, s_in = compose(t, cfg.inner_at(t))
+        r_max = cfg.outer_at(t) * 0.86 - cfg.edge_width - 1.0
+        want_noisy, _ = compose(t, float(np.clip(cfg.inner_at(t) + jitter[k], 0.8, r_max)))
+        want_noisy = want_noisy + np.random.default_rng([cfg.seed, 1, k]).normal(
+            0.0, cfg.intensity_noise_sigma, cfg.dims)
+        assert np.array_equal(clean.volumes[k].data, want_clean)
+        assert np.array_equal(labels[k].data, s_in >= 1.0)
+        assert np.array_equal(noisy.volumes[k].data, want_noisy)
+
+
 def test_radius_escaping_grid_rejected():
     with pytest.raises(ValueError, match="escapes the grid"):
         generate(_small_cfg(outer_radius=(12.0, 0.5)))

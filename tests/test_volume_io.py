@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from atlas4d.volume_io import (
+    LabelVolume,
     NiftiError,
     Volume3D,
     Volume4D,
@@ -186,6 +187,18 @@ class TestNifti:
         write_nifti(vol, p)
         raw = np.frombuffer(p.read_bytes()[352:], dtype="<f4")
         assert np.array_equal(raw, np.arange(24, dtype=np.float32))
+
+
+class TestLabelVolume:
+    def test_int64_data_is_not_copied(self):
+        data = np.zeros((2, 3, 4), dtype=np.int64)
+        assert np.shares_memory(LabelVolume(data.shape, (1, 1, 1), data).data, data)
+
+    def test_other_integer_data_becomes_int64(self):
+        data = np.ones((2, 2, 2), dtype=np.int32)
+        lab = LabelVolume(data.shape, (1, 1, 1), data)
+        assert lab.data.dtype == np.int64
+        assert np.array_equal(lab.data, data)
 
 
 class TestSeries:
