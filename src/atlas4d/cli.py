@@ -39,6 +39,7 @@ from .volume_io import (
     normalize_intensity,
     read_manifest,
     read_nifti,
+    write_atomic,
     write_manifest,
     write_nifti,
 )
@@ -181,7 +182,7 @@ def load_config(path, overrides=()) -> RunConfig:
 
 def _write_artifacts(run_dir: Path, command: str, paths: list[Path]) -> None:
     lines = [str(p.relative_to(run_dir)) for p in paths]
-    (run_dir / f"artifacts_{command}.txt").write_text("\n".join(lines) + "\n")
+    write_atomic(run_dir / f"artifacts_{command}.txt", "\n".join(lines) + "\n")
 
 
 def _train_config(cfg: RunConfig, mask=None) -> TrainConfig:
@@ -222,7 +223,7 @@ def _loss_log(path: Path, header: str, rows) -> None:
     lines = [header]
     for row in rows:
         lines.append("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +432,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         psnr=g_psnr,
     )
     out = run_dir / "metrics.tsv"
-    out.write_text(report.to_tsv())
+    write_atomic(out, report.to_tsv())
     _write_artifacts(run_dir, "eval", [out])
     print(f"eval: mse {g_mse:.4e}, psnr {g_psnr:.2f} dB, report at {out}")
 

@@ -63,10 +63,20 @@ def psnr(mse: float, peak: float) -> float:
 
 
 def series_mse(a: Volume4D, b: Volume4D) -> float:
-    """Mean squared difference over every voxel and time point."""
+    """Mean squared difference over every voxel and time point.
+
+    Sums one volume at a time, so only one volume-sized temporary exists.
+    """
     if a.n_times != b.n_times:
         raise ValueError("series length mismatch")
-    return float(np.mean((a.stack() - b.stack()) ** 2))
+    if a.dims != b.dims:
+        raise ValueError(f"series dims mismatch: {a.dims} vs {b.dims}")
+    total = 0.0
+    for va, vb in zip(a.volumes, b.volumes):
+        d = va.data - vb.data
+        np.square(d, out=d)
+        total += float(d.sum())
+    return total / (a.n_times * math.prod(a.dims))
 
 
 def msd_temporal(series: Volume4D) -> float:

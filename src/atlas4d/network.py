@@ -10,9 +10,18 @@ concatenated back onto the hidden state, so the following layer sees
 hidden_width + input_dim inputs.
 
 Everything is float64. Train-mode forward normalizes with batch statistics
-and updates running statistics. Eval-mode forward is a pure function of
-(parameters, input): with running statistics, batch norm is a fixed affine
-map, so each hidden layer is folded into one Linear -> ReLU with
+and updates running statistics. For backward it keeps only the input and
+each hidden layer's normalized pre-activation xhat and inverse standard
+deviation, about batch * hidden_width * (n_layers - 1) * 8 bytes. The
+layer outputs relu(gamma * xhat + beta) are not kept: they would double
+that, and backward rebuilds each one exactly from xhat when it reaches the
+layer, into a buffer reused from layer to layer (recompute instead of
+store, Chen et al. 2016). The closed-form batch-norm backward saves more
+elementwise passes than the rebuild costs.
+
+Eval-mode forward is a pure function of (parameters, input): with running
+statistics, batch norm is a fixed affine map, so each hidden layer is
+folded into one Linear -> ReLU with
     scale = gamma / sqrt(running_var + eps)
     W' = W * scale[:, None]
     b' = beta - running_mean * scale
@@ -34,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import FourierEncoder
+from .volume_io import write_atomic
 
 
 class CheckpointError(RuntimeError):
@@ -81,13 +91,16 @@ class MlpConfig:
 
 @dataclass
 class ForwardCache:
-    """Intermediate state of one train-mode forward pass, for backward()."""
+    """What backward() needs of one train-mode forward pass.
+
+    Only the input and each hidden layer's normalized pre-activation and
+    inverse standard deviation are kept; backward rebuilds every layer's
+    output from xhat with InrModel._layer_output.
+    """
 
     model_id: int
     version: int
     x: np.ndarray
-    inputs: list  # input to each layer, including the concatenated skips;
-    # the leading hidden_width columns of inputs[j] are layer j's ReLU output
     xhat: list
     inv_std: list
 
@@ -180,10 +193,10 @@ class InrModel:
         mom = cfg.bn_momentum
         batch = x.shape[0]
         a = x
-        inputs, xhats, inv_stds = [], [], []
+        bufs: dict = {}
+        xhats, inv_stds = [], []
 
         for j in range(1, cfg.n_layers):
-            inputs.append(a)
             xhat = a @ self.weights[j - 1].T
             mu = xhat.mean(axis=0)
             xhat -= mu
@@ -194,22 +207,39 @@ class InrModel:
             self.bn_mean[j - 1] += mom * mu
             self.bn_var[j - 1] *= 1.0 - mom
             self.bn_var[j - 1] += mom * var
-            h = xhat * self.bn_gamma[j - 1]
-            h += self.bn_beta[j - 1]
-            a = np.maximum(h, 0.0, out=h)
-            if j in cfg.skip_layers:
-                a = np.concatenate([a, x], axis=1)
             xhats.append(xhat)
             inv_stds.append(inv)
+            # the matmul above was this activation's last use: overwrite it
+            a = self._layer_output(j, xhat, x, bufs)
 
-        inputs.append(a)
         y = a @ self.weights[-1].T
         y += self.out_bias
         cache = ForwardCache(
-            model_id=id(self), version=self._version, x=x,
-            inputs=inputs, xhat=xhats, inv_std=inv_stds,
+            model_id=id(self), version=self._version, x=x, xhat=xhats, inv_std=inv_stds,
         )
         return y.ravel(), cache
+
+    def _layer_output(self, j: int, xhat: np.ndarray, x: np.ndarray, bufs: dict) -> np.ndarray:
+        """Output of hidden layer j: relu(gamma_j * xhat_j + beta_j).
+
+        After a skip layer the raw input x fills the trailing input_dim
+        columns. The result is written into a buffer kept in `bufs`, one for
+        plain and one for skip layers, so each call overwrites the previous
+        call's result of the same kind. Forward and backward both build
+        outputs here, so backward's rebuild equals forward's bit for bit.
+        """
+        width = self.cfg.hidden_width
+        skip = j in self.cfg.skip_layers
+        out = bufs.get(skip)
+        if out is None:
+            out = bufs[skip] = np.empty((x.shape[0], width + (x.shape[1] if skip else 0)))
+            if skip:
+                out[:, width:] = x
+        h = out[:, :width]
+        np.multiply(xhat, self.bn_gamma[j - 1], out=h)
+        h += self.bn_beta[j - 1]
+        np.maximum(h, 0.0, out=h)
+        return out
 
     def _forward_eval(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode forward with batch norm folded into each hidden layer."""
@@ -249,30 +279,31 @@ class InrModel:
 
         cfg = self.cfg
         n = cfg.n_layers
-        d_out = np.asarray(d_out, dtype=np.float64)
+        width = cfg.hidden_width
+        batch = cache.x.shape[0]
+        bufs: dict = {}
         grads: dict[str, np.ndarray] = {}
 
-        dz = d_out[:, None]
-        grads[f"w{n}"] = dz.T @ cache.inputs[-1]
+        dz = np.asarray(d_out, dtype=np.float64)[:, None]
         grads[f"b{n}"] = dz.sum(axis=0)
-
-        batch = cache.x.shape[0]
         for j in range(n - 1, 0, -1):
-            # Gradient of layer j's activation: the leading hidden_width input
-            # columns of layer j + 1 (past them sit the raw-input skip slots).
-            # ReLU passes it where that cached activation is positive.
-            dh = dz @ self.weights[j][:, : cfg.hidden_width]
-            dh *= cache.inputs[j][:, : cfg.hidden_width] > 0.0
+            # a is layer j's output, the input of layer j + 1; its gradient is
+            # that of layer j + 1's leading hidden_width input columns (past
+            # them sit the raw-input skip slots). ReLU passes it where a > 0.
             xhat = cache.xhat[j - 1]
-            grads[f"bn_g{j}"] = np.einsum("ij,ij->j", dh, xhat)
-            grads[f"bn_b{j}"] = dh.sum(axis=0)
-            dxhat = dh
-            dxhat *= self.bn_gamma[j - 1]
-            dz = xhat * (np.einsum("ij,ij->j", dxhat, xhat) / -batch)
-            dz -= dxhat.sum(axis=0) / batch
-            dz += dxhat
-            dz *= cache.inv_std[j - 1]
-            grads[f"w{j}"] = dz.T @ cache.inputs[j - 1]
+            a = self._layer_output(j, xhat, cache.x, bufs)
+            grads[f"w{j + 1}"] = dz.T @ a
+            dh = dz @ self.weights[j][:, :width]
+            dh *= a[:, :width] > 0.0
+            # Batch norm backward in closed form, reusing the beta and gamma
+            # gradients: dz = gamma*inv * (dh - sum(dh)/B - xhat*sum(dh*xhat)/B)
+            g_gamma = grads[f"bn_g{j}"] = np.einsum("ij,ij->j", dh, xhat)
+            g_beta = grads[f"bn_b{j}"] = dh.sum(axis=0)
+            dz = xhat * (g_gamma / -batch)
+            dz += dh
+            dz -= g_beta / batch
+            dz *= self.bn_gamma[j - 1] * cache.inv_std[j - 1]
+        grads["w1"] = dz.T @ cache.x
         return grads
 
 
@@ -432,7 +463,7 @@ def save_checkpoint(model: InrModel, path) -> None:
         meta["encoder"] = {"seed": model.encoder.seed}
         arrays["enc_b_space"] = model.encoder.b_space
         arrays["enc_b_time"] = model.encoder.b_time
-    Path(path).write_bytes(_pack_container(meta, arrays))
+    write_atomic(path, _pack_container(meta, arrays))
 
 
 def load_checkpoint(path) -> InrModel:

@@ -12,7 +12,9 @@ is supported; anything else is rejected with an explicit error.
 from __future__ import annotations
 
 import gzip
+import io
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -253,12 +255,32 @@ def write_nifti(vol: Volume3D, path) -> None:
 
     if path.suffix == ".gz":
         # filename="" and mtime=0 keep the compressed bytes content-only
-        with open(path, "wb") as fh:
-            with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(blob)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(blob)
+        buf = io.BytesIO()
+        with gzip.GzipFile(filename="", fileobj=buf, mode="wb", mtime=0) as gz:
+            gz.write(blob)
+        blob = buf.getvalue()
+    write_atomic(path, blob)
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Create or replace the file at `path` with `data` (a str as UTF-8).
+
+    The data goes to a temporary file in the same directory, which
+    os.replace then moves over `path`: a reader sees the old file or the
+    new one, never part of either. If the write raises, the old file is
+    untouched and the temporary file is removed. There is no fsync.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +345,7 @@ def write_manifest(entries: Sequence[tuple], path) -> None:
             raise ValueError(f"manifest cannot hold path {rel!r}: it starts with '#' or "
                              f"whitespace, or holds a tab or line break")
         lines.append(f"{rel}\t{format_time(t)}")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,29 @@ class TestFidelity:
         b = Volume4D([_vol(np.full((2, 2, 2), 0.5))] * 3, np.arange(3.0))
         assert series_mse(a, b) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_series_mse_matches_stacked_formula(self, order):
+        rng = np.random.default_rng(12)
+        dims, times = (9, 7, 5), np.array([20.0, 21.5, 23.0, 30.0])
+
+        def series():
+            return Volume4D([_vol(np.asarray(rng.normal(size=dims), order=order))
+                             for _ in times], times)
+
+        a, b = series(), series()
+        stacked = float(np.mean((a.stack() - b.stack()) ** 2))
+        assert series_mse(a, b) == pytest.approx(stacked, rel=1e-15)
+
+    def test_series_mse_mismatch_raises(self):
+        vol = _vol(np.zeros((2, 3, 4)))
+        a = Volume4D([vol] * 3, np.arange(3.0))
+        with pytest.raises(ValueError, match="length"):
+            series_mse(a, Volume4D([vol] * 2, np.arange(2.0)))
+        # same voxel count, other dims
+        b = Volume4D([_vol(np.zeros((4, 3, 2)))] * 3, np.arange(3.0))
+        with pytest.raises(ValueError, match="dims"):
+            series_mse(a, b)
+
 
 class TestEfc:
     def test_constant_slice_is_one(self):

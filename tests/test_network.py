@@ -200,7 +200,7 @@ class TestForward:
         model = init_mlp(cfg, seed=6)
         x = np.random.default_rng(6).normal(size=(8, 5))
         _, cache = model.forward(x)
-        layer4_input = cache.inputs[3]
+        layer4_input = model._layer_output(3, cache.xhat[2], cache.x, {})
         assert np.array_equal(layer4_input[:, 4:], x)
 
     def test_zeroed_input_changes_only_skip_slots(self):
@@ -213,10 +213,64 @@ class TestForward:
         x = np.random.default_rng(7).normal(size=(8, 5))
         _, cache_x = model.forward(x)
         _, cache_0 = model.forward(np.zeros_like(x))
-        a_x, a_0 = cache_x.inputs[3], cache_0.inputs[3]
+        a_x = model._layer_output(3, cache_x.xhat[2], cache_x.x, {})
+        a_0 = model._layer_output(3, cache_0.xhat[2], cache_0.x, {})
         assert np.array_equal(a_x[:, :4], a_0[:, :4])
         assert np.array_equal(a_x[:, 4:], x)
         assert np.all(a_0[:, 4:] == 0.0)
+
+
+def _train_reference(model, x):
+    """Train-mode forward written out with concatenation and no buffers.
+
+    Returns (every hidden layer's output including its skip slots, y); the
+    operation order matches InrModel.forward, so results agree bit for bit.
+    """
+    cfg = model.cfg
+    a, outputs = x, []
+    for j in range(1, cfg.n_layers):
+        z = a @ model.weights[j - 1].T
+        z = z - z.mean(axis=0)
+        var = np.einsum("ij,ij->j", z, z) / x.shape[0]
+        xhat = z * (1.0 / np.sqrt(var + cfg.bn_epsilon))
+        a = np.maximum(xhat * model.bn_gamma[j - 1] + model.bn_beta[j - 1], 0.0)
+        if j in cfg.skip_layers:
+            a = np.concatenate([a, x], axis=1)
+        outputs.append(a)
+    return outputs, (a @ model.weights[-1].T + model.out_bias).ravel()
+
+
+class TestForwardCache:
+    def _model(self):
+        cfg = MlpConfig(input_dim=5, hidden_width=6, n_layers=7, skip_layers=(2, 3, 5))
+        model = init_mlp(cfg, seed=8)
+        rng = np.random.default_rng(8)
+        for g, b in zip(model.bn_gamma, model.bn_beta):
+            g[:] = rng.uniform(-2.0, 2.0, g.size)
+            b[:] = rng.normal(size=b.size)
+        return model, rng.normal(size=(11, 5))
+
+    def test_rebuilt_outputs_match_train_reference_bitwise(self):
+        model, x = self._model()
+        ref_outputs, ref_y = _train_reference(model, x)
+        y, cache = model.forward(x)
+        assert np.array_equal(y, ref_y)
+        bufs = {}
+        for j in range(model.cfg.n_layers - 1, 0, -1):  # backward's order and buffers
+            rebuilt = model._layer_output(j, cache.xhat[j - 1], cache.x, bufs)
+            assert np.array_equal(rebuilt, ref_outputs[j - 1]), j
+
+    def test_cache_holds_no_layer_outputs(self):
+        cfg = MlpConfig(input_dim=40, hidden_width=16, n_layers=8, skip_layers=(3, 6))
+        model = init_mlp(cfg, seed=9)
+        batch = 64
+        x = np.random.default_rng(9).normal(size=(batch, cfg.input_dim))
+        _, cache = model.forward(x)
+        total = sum(a.nbytes for v in vars(cache).values()
+                    for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray))
+        n_hidden = cfg.n_layers - 1
+        assert total <= (x.nbytes + n_hidden * batch * cfg.hidden_width * 8
+                         + n_hidden * cfg.hidden_width * 8)
 
 
 

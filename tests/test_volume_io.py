@@ -1,8 +1,15 @@
+import errno
 import gzip
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from atlas4d import volume_io
+from atlas4d.network import MlpConfig, init_mlp, save_checkpoint
 
 from atlas4d.volume_io import (
     LabelVolume,
@@ -16,6 +23,7 @@ from atlas4d.volume_io import (
     normalize_times,
     read_manifest,
     read_nifti,
+    write_atomic,
     write_manifest,
     write_nifti,
 )
@@ -187,6 +195,94 @@ class TestNifti:
         write_nifti(vol, p)
         raw = np.frombuffer(p.read_bytes()[352:], dtype="<f4")
         assert np.array_equal(raw, np.arange(24, dtype=np.float32))
+
+
+_NIFTI_CODES = {"u1": 2, "i2": 4, "f4": 16, "f8": 64}
+_finite_f32 = st.floats(-1e3, 1e3, allow_nan=False, width=32)
+
+
+@st.composite
+def _nifti_files(draw):
+    """(file bytes, expected float64 data) of a hand-encoded NIfTI-1 file."""
+    kind = draw(st.sampled_from(sorted(_NIFTI_CODES)))
+    end = draw(st.sampled_from("<>"))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)))
+    elements = {"f4": _finite_f32,
+                "f8": st.floats(-1e6, 1e6, allow_nan=False)}.get(kind)
+    raw = draw(hnp.arrays(np.dtype(end + kind), int(np.prod(dims)), elements=elements))
+    slope = draw(_finite_f32.filter(lambda v: v != 0.0))
+    inter = draw(_finite_f32)
+    blob = _raw_nifti(dims, _NIFTI_CODES[kind], scl_slope=slope, scl_inter=inter,
+                      payload=raw.tobytes(), end=end)
+    expected = raw.astype(np.float64).reshape(dims, order="F") * slope + inter
+    return blob, expected
+
+
+class TestNiftiRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_nifti_files())
+    def test_read_scales_and_write_round_trips(self, tmp_path_factory, case):
+        blob, expected = case
+        d = tmp_path_factory.mktemp("nifti")
+        (d / "in.nii").write_bytes(blob)
+        vol = read_nifti(d / "in.nii")
+        assert vol.dims == expected.shape
+        assert np.array_equal(vol.data, expected)
+        write_nifti(vol, d / "out.nii.gz")
+        back = read_nifti(d / "out.nii.gz")
+        assert back.dims == vol.dims and back.spacing == vol.spacing
+        assert np.array_equal(back.data, vol.data.astype(np.float32).astype(np.float64))
+
+
+class _DiskFull:
+    """File handle whose write stores half of the data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+_WRITERS = {  # writer -> (file name, write call)
+    "nifti": ("v.nii", lambda p: write_nifti(_vol(dims=(6, 5, 4)), p)),
+    "nifti_gz": ("v.nii.gz", lambda p: write_nifti(_vol(dims=(6, 5, 4)), p)),
+    "manifest": ("series.tsv", lambda p: write_manifest([(p.parent / "a.nii", 21.0)], p)),
+    "checkpoint": ("model.ckpt", lambda p: save_checkpoint(
+        init_mlp(MlpConfig(input_dim=3, hidden_width=4, n_layers=3, skip_layers=()),
+                 seed=0), p)),
+    "text": ("metrics.tsv", lambda p: write_atomic(p, "new text\n")),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        name, write = _WRITERS[writer]
+        target = tmp_path / name
+        target.write_bytes(b"old contents\n")
+        monkeypatch.setattr(volume_io, "open",
+                            lambda path, mode: _DiskFull(open(path, mode)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(target)
+        assert target.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_replaces_whole_file(self, tmp_path):
+        target = tmp_path / "notes.txt"
+        target.write_text("a much longer old text\n")
+        write_atomic(target, "new\n")
+        write_atomic(tmp_path / "raw.bin", b"\x00\x01")
+        assert target.read_text() == "new\n"
+        assert (tmp_path / "raw.bin").read_bytes() == b"\x00\x01"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt", "raw.bin"]
 
 
 class TestLabelVolume:
