@@ -8,18 +8,15 @@ reconstructs volumes at arbitrary times and resolutions.
 
 from .encoding import FourierEncoder
 from .metrics import (
-    DisplacementField,
     MetricsReport,
     dice,
     efc_slice,
     efc_volume,
-    identity_field,
     msd_temporal,
     psnr,
     series_mse,
     tc,
     threshold_labels,
-    warp_labels,
 )
 from .network import (
     CheckpointError,

@@ -175,6 +175,8 @@ def load_config(path, overrides=()) -> RunConfig:
                 values[key] = cast(raw[key])
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {exc}")
+            if cast in (float, _parse_float_list) and not np.all(np.isfinite(values[key])):
+                raise ConfigError(f"bad value for {key}: {raw[key]!r} is not finite")
         else:
             values[key] = default
     return RunConfig(values=values, base_dir=path.parent.resolve())
@@ -400,7 +402,7 @@ def cmd_eval(cfg: RunConfig) -> None:
                               "(run infer first)")
     ref_manifest = cfg.path("eval.reference_manifest",
                             run_dir / "phantom" / "clean.tsv")
-    if ref_manifest is None or not ref_manifest.is_file():
+    if not ref_manifest.is_file():
         raise ConfigError(f"reference manifest not found: {ref_manifest}")
 
     recon = load_series(read_manifest(recon_manifest), label="recon")
@@ -427,7 +429,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         times=[float(t) for t in recon.times],
         efc=efc,
         tc=tc_row,
-        dice={1: dice_row},
+        dice=dice_row,
         mse=g_mse,
         psnr=g_psnr,
     )

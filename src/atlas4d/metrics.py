@@ -1,19 +1,18 @@
 """Evaluation metrics: MSE/PSNR, slice-entropy sharpness, DICE overlap,
-label warping, and the temporal-consistency factor.
+and the temporal-consistency factor.
 
 All operations are pure. Sharpness is a normalized per-slice intensity
 entropy in [0, 1]; lower values mean sharper slices. Temporal consistency
-of a label series at time index m is the mean DICE between each temporal
-neighbor's label map (m +/- 1, m +/- 2, where they exist) and this time
-point's map warped into that neighbor; identity displacement fields reduce
-it to plain neighbor DICE.
+of a label series at time index m is the mean DICE between this time
+point's label map and each temporal neighbor's (m +/- 1, m +/- 2, where
+they exist), with no registration between time points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,33 +21,6 @@ from .volume_io import LabelVolume, Volume3D, Volume4D, format_time
 
 class BackgroundSliceError(ValueError):
     """Slice is all-zero and carries no signal; excluded from slice means."""
-
-
-@dataclass
-class DisplacementField:
-    """Per-voxel 3-vector displacement in voxel units.
-
-    vectors[x, y, z] maps coordinates of the target space into the source
-    space: the warped output at voxel v reads the source label at
-    round(v + vectors[v]).
-    """
-
-    dims: tuple[int, int, int]
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.shape != self.dims + (3,):
-            raise ValueError(
-                f"vectors shape {self.vectors.shape} does not match dims {self.dims}"
-            )
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("non-finite displacement field")
-
-
-def identity_field(dims) -> DisplacementField:
-    return DisplacementField(tuple(dims), np.zeros(tuple(dims) + (3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,56 +126,22 @@ def dice(a: LabelVolume, b: LabelVolume, class_id: int) -> float:
     return 100.0 * 2.0 * inter / (na + nb)
 
 
-def warp_labels(labels: LabelVolume, fld: DisplacementField) -> LabelVolume:
-    """Nearest-neighbor pullback of a label map through a displacement field.
-
-    Output voxel v takes the label at round(v + field(v)); out-of-bounds
-    lookups become background. Nearest-neighbor warping is lossy, so a
-    round trip through inverse fields is not an identity in general.
-    """
-    if labels.dims != fld.dims:
-        raise ValueError(f"dimension mismatch: {labels.dims} vs {fld.dims}")
-    nx, ny, nz = labels.dims
-    ix, iy, iz = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    sx = np.rint(ix + fld.vectors[..., 0]).astype(np.int64)
-    sy = np.rint(iy + fld.vectors[..., 1]).astype(np.int64)
-    sz = np.rint(iz + fld.vectors[..., 2]).astype(np.int64)
-    valid = (
-        (sx >= 0) & (sx < nx) & (sy >= 0) & (sy < ny) & (sz >= 0) & (sz < nz)
-    )
-    out = np.zeros(labels.dims, dtype=np.int64)
-    out[valid] = labels.data[sx[valid], sy[valid], sz[valid]]
-    return LabelVolume(labels.dims, labels.spacing, out)
-
-
-def tc(labels: Sequence[LabelVolume],
-       fields: Mapping[tuple[int, int], DisplacementField] | None,
-       m: int, class_id: int) -> float:
+def tc(labels: Sequence[LabelVolume], fields: None, m: int, class_id: int) -> float:
     """Temporal-consistency factor (percent) of time index m.
 
-    Neighbors are m +/- 1 and m +/- 2 clipped to the series range; for each
-    neighbor m2 the map at m is warped into m2's space through
-    fields[(m, m2)] and compared with the neighbor's map by DICE. Pass
-    fields=None to use identity fields throughout.
+    The mean DICE between the map at m and each neighbor m +/- 1, m +/- 2
+    inside the series range. `fields` must be None: the maps are compared
+    in place, as the paper's registration is not part of this package.
     """
+    if fields is not None:
+        raise ValueError("fields must be None: displacement fields are not supported")
     n = len(labels)
     if not 0 <= m < n:
         raise ValueError(f"time index {m} out of range")
     neighbors = [m + d for d in (-2, -1, 1, 2) if 0 <= m + d < n]
     if not neighbors:
         raise ValueError("no valid neighbors")
-    scores = []
-    for m2 in neighbors:
-        if fields is None:
-            warped = labels[m]
-        else:
-            if (m, m2) not in fields:
-                raise ValueError(f"missing field ({m}, {m2})")
-            warped = warp_labels(labels[m], fields[(m, m2)])
-        scores.append(dice(labels[m2], warped, class_id))
-    return float(np.mean(scores))
+    return float(np.mean([dice(labels[m2], labels[m], class_id) for m2 in neighbors]))
 
 
 def threshold_labels(vol: Volume3D, threshold: float) -> LabelVolume:
@@ -217,41 +155,38 @@ def threshold_labels(vol: Volume3D, threshold: float) -> LabelVolume:
 
 @dataclass
 class MetricsReport:
-    """Per-time-point metrics plus global fidelity versus a reference."""
+    """Per-time-point metrics plus global fidelity versus a reference.
+
+    `dice` is the class-1 DICE against the reference, written as `dice_1`.
+    """
 
     times: list[float]
     efc: list[float]
     tc: list[float]
-    dice: dict[int, list[float]] = field(default_factory=dict)
+    dice: list[float]
     mse: float = math.nan
     psnr: float = math.nan
 
     def __post_init__(self):
         n = len(self.times)
-        for name, vals in (("efc", self.efc), ("tc", self.tc)):
+        for name, vals in (("efc", self.efc), ("dice", self.dice), ("tc", self.tc)):
             if len(vals) != n:
                 raise ValueError(f"{name} length does not match times")
-        for cls, vals in self.dice.items():
-            if len(vals) != n:
-                raise ValueError(f"dice[{cls}] length does not match times")
         if any(v < 0 for v in self.efc):
             raise ValueError("efc values must be >= 0")
-        percent = list(self.tc) + [v for vals in self.dice.values() for v in vals]
-        if any(not 0.0 <= v <= 100.0 for v in percent):
+        if any(not 0.0 <= v <= 100.0 for v in list(self.dice) + list(self.tc)):
             raise ValueError("dice/tc values must lie in [0, 100]")
 
     def to_tsv(self) -> str:
         """Tab-separated table: metric rows by time-point columns."""
-        def fmt(v):
-            return f"{v:.6g}"
+        def row(name, vals):
+            return name + "\t" + "\t".join(f"{v:.6g}" for v in vals)
 
-        lines = ["metric\t" + "\t".join(format_time(t) for t in self.times)]
-        lines.append("efc\t" + "\t".join(fmt(v) for v in self.efc))
-        for cls in sorted(self.dice):
-            lines.append(
-                f"dice_{cls}\t" + "\t".join(fmt(v) for v in self.dice[cls])
-            )
-        lines.append("tc\t" + "\t".join(fmt(v) for v in self.tc))
-        lines.append(f"mse\t{fmt(self.mse)}")
-        lines.append(f"psnr\t{fmt(self.psnr)}")
-        return "\n".join(lines) + "\n"
+        return "\n".join([
+            "metric\t" + "\t".join(format_time(t) for t in self.times),
+            row("efc", self.efc),
+            row("dice_1", self.dice),
+            row("tc", self.tc),
+            row("mse", [self.mse]),
+            row("psnr", [self.psnr]),
+        ]) + "\n"

@@ -7,6 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
 
@@ -36,11 +42,7 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
 class AdamState:
     """First/second moment accumulators mirroring a named parameter set."""
 
-    def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
+    def __init__(self, params: dict[str, np.ndarray]):
         self.step = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -64,15 +66,15 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for k, g in grads.items():
         m, v = state.m[k], state.v[k]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
 
 
 def sum_grads(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

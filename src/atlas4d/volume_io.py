@@ -319,10 +319,16 @@ def read_manifest(path) -> list[tuple[Path, float]]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected `path<TAB>time`")
+        try:
+            t = float(parts[1])
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise ValueError(f"{path}:{lineno}: time {parts[1]!r} is not a finite number")
         p = Path(parts[0])
         if not p.is_absolute():
             p = path.parent / p
-        entries.append((p, float(parts[1])))
+        entries.append((p, t))
     return entries
 
 

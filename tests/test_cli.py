@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from atlas4d.cli import load_config, main
+from atlas4d.cli import ConfigError, load_config, main
 from atlas4d.encoding import FourierEncoder
 from atlas4d.network import MlpConfig, init_mlp, save_checkpoint
 from atlas4d.volume_io import read_manifest, read_nifti
@@ -69,6 +69,21 @@ class TestConfigParsing:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("run_dir = out\ntrain.batch_size = many\n")
         assert _run("phantom", "--config", str(cfg)) == 1
+
+    @pytest.mark.parametrize("item", [
+        "train.lambda=nan", "train.pretrain_lr=nan", "mlp.bn_epsilon=nan",
+        "eval.psnr_peak=nan", "phantom.noise_sigma=nan", "phantom.time_end=inf",
+        "train.refine_lr=-inf", "infer.times=21,nan,23",
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, item):
+        key = item.split("=")[0]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("run_dir = out\n")
+        with pytest.raises(ConfigError, match=f"bad value for {key}: .* is not finite"):
+            load_config(cfg, overrides=[item])
+        assert _run("phantom", "--config", str(cfg), "--set", item) == 1
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert _run("phantom", "--config", str(tmp_path / "nope.cfg")) == 1

@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from atlas4d.metrics import (
     BackgroundSliceError,
-    DisplacementField,
     MetricsReport,
     dice,
     efc_slice,
     efc_volume,
-    identity_field,
     msd_temporal,
     psnr,
     series_mse,
     tc,
     threshold_labels,
-    warp_labels,
 )
 from atlas4d.volume_io import LabelVolume, Volume3D, Volume4D
 
@@ -202,38 +199,8 @@ class TestDice:
         assert scores[0] == 0.0 and scores[-1] == 100.0
 
 
-class TestWarp:
-    def test_zero_field_is_identity(self):
-        lab = _labels(np.random.default_rng(2).integers(0, 4, (5, 4, 3)))
-        out = warp_labels(lab, identity_field(lab.dims))
-        assert np.array_equal(out.data, lab.data)
-
-    def test_uniform_shift_plus_one_x(self):
-        data = np.zeros((5, 3, 3), dtype=int)
-        data[2, 1, 1] = 1
-        lab = _labels(data)
-        vectors = np.zeros((5, 3, 3, 3))
-        vectors[..., 0] = 1.0  # output voxel v reads source at v + (1,0,0)
-        out = warp_labels(lab, DisplacementField(lab.dims, vectors))
-        expected = np.zeros((5, 3, 3), dtype=int)
-        expected[1, 1, 1] = 1
-        assert np.array_equal(out.data, expected)
-
-    def test_out_of_bounds_becomes_background(self):
-        lab = _labels(np.ones((2, 2, 2), dtype=int))
-        vectors = np.full((2, 2, 2, 3), 10.0)
-        out = warp_labels(lab, DisplacementField(lab.dims, vectors))
-        assert np.all(out.data == 0)
-
-    def test_non_finite_field_rejected(self):
-        vectors = np.zeros((2, 2, 2, 3))
-        vectors[0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            DisplacementField((2, 2, 2), vectors)
-
-
 def _brute_force_tc(labels, m, class_id):
-    """Independent re-implementation: plain loops, identity fields."""
+    """Independent re-implementation: plain loops, maps compared in place."""
     scores = []
     for d in (-2, -1, 1, 2):
         m2 = m + d
@@ -254,45 +221,26 @@ class TestTc:
         rng = np.random.default_rng(seed)
         return [_labels(rng.integers(0, 2, dims)) for _ in range(n)]
 
-    def test_identical_labels_identity_fields(self):
+    def test_identical_labels(self):
         lab = _labels(np.random.default_rng(1).integers(0, 2, (4, 4, 4)))
         series = [lab] * 5
         for m in range(5):
             assert tc(series, None, m, 1) == 100.0
 
-    def test_neighbor_counting(self):
-        # interior points average 4 neighbors, the first time point only 2;
-        # verified by feeding fields for exactly those pairs
-        series = self._series()
-        for m, expected in ((0, 2), (3, 4)):
-            fields = {}
-            for d in (-2, -1, 1, 2):
-                if 0 <= m + d < len(series):
-                    fields[(m, m + d)] = identity_field((4, 4, 4))
-            assert len(fields) == expected
-            tc(series, fields, m, 1)  # exactly these fields suffice
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 7),
+           dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, n, dims, seed):
+        series = self._series(seed=seed, n=n, dims=dims)
+        for m in range(n):
+            assert tc(series, None, m, 1) == pytest.approx(
+                _brute_force_tc(series, m, 1), abs=1e-12
+            )
 
-    def test_matches_brute_force(self):
-        for seed in range(10):
-            series = self._series(seed=seed)
-            for m in range(len(series)):
-                assert tc(series, None, m, 1) == pytest.approx(
-                    _brute_force_tc(series, m, 1), abs=1e-12
-                )
-
-    def test_explicit_identity_fields_match_none(self):
-        series = self._series(seed=3)
-        fields = {}
-        for m in range(len(series)):
-            for d in (-2, -1, 1, 2):
-                if 0 <= m + d < len(series):
-                    fields[(m, m + d)] = identity_field((4, 4, 4))
-        for m in range(len(series)):
-            assert tc(series, fields, m, 1) == tc(series, None, m, 1)
-
-    def test_missing_field(self):
-        series = self._series(seed=4, n=4)
-        with pytest.raises(ValueError, match="missing field"):
+    def test_fields_must_be_none(self):
+        series = self._series(n=4)
+        with pytest.raises(ValueError, match="fields must be None"):
             tc(series, {}, 1, 1)
 
     def test_no_neighbors(self):
@@ -310,24 +258,32 @@ class TestThresholdLabels:
 
 class TestReport:
     def test_tsv_layout(self):
-        rep = MetricsReport(times=[21.0, 22.0], efc=[0.3, 0.31], tc=[90.0, 91.0],
-                            dice={1: [50.0, 60.0]}, mse=1e-3, psnr=30.0)
-        text = rep.to_tsv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "metric\t21\t22"
-        assert lines[1].startswith("efc\t")
-        assert lines[2].startswith("dice_1\t")
-        assert lines[3].startswith("tc\t")
-        assert lines[4].startswith("mse\t")
-        assert lines[5].startswith("psnr\t")
+        # The complete text: perfbench and users parse these rows.
+        rep = MetricsReport(times=[21.0, 22.5], efc=[0.3, 0.3123456789], tc=[90.0, 91.0],
+                            dice=[50.0, 100.0 / 3.0], mse=1e-3, psnr=30.0)
+        assert rep.to_tsv() == (
+            "metric\t21\t22.5\n"
+            "efc\t0.3\t0.312346\n"
+            "dice_1\t50\t33.3333\n"
+            "tc\t90\t91\n"
+            "mse\t0.001\n"
+            "psnr\t30\n"
+        )
 
     def test_header_times_are_exact(self):
         # Close times get distinct columns; whole and half weeks stay short.
         rep = MetricsReport(times=[21.4285714, 21.4285719, 22.0, 22.5],
-                            efc=[0.3] * 4, tc=[90.0] * 4)
+                            efc=[0.3] * 4, tc=[90.0] * 4, dice=[50.0] * 4)
         header = rep.to_tsv().split("\n")[0].split("\t")
         assert header == ["metric", "21.4285714", "21.4285719", "22", "22.5"]
 
     def test_length_validation(self):
-        with pytest.raises(ValueError):
-            MetricsReport(times=[1.0, 2.0], efc=[0.1], tc=[1.0, 2.0])
+        for row in ("efc", "dice", "tc"):
+            rows = {"efc": [0.1, 0.2], "dice": [1.0, 2.0], "tc": [1.0, 2.0]}
+            rows[row] = rows[row][:1]
+            with pytest.raises(ValueError, match=f"{row} length"):
+                MetricsReport(times=[1.0, 2.0], **rows)
+
+    def test_percent_range_validation(self):
+        with pytest.raises(ValueError, match=r"\[0, 100\]"):
+            MetricsReport(times=[1.0], efc=[0.1], tc=[50.0], dice=[100.5])

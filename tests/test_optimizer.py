@@ -25,7 +25,7 @@ class TestAdam:
     def test_first_step_hand_computed(self):
         # w=0, g=1, lr=0.1: m_hat=1, v_hat=1, so w -> -0.1/(1+eps) ~ -0.1
         params = {"w": np.array([0.0])}
-        state = AdamState(params, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        state = AdamState(params)
         adam_step(params, {"w": np.array([1.0])}, state, lr=0.1)
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
         assert params["w"][0] == pytest.approx(expected, abs=1e-12)

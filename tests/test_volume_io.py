@@ -1,5 +1,6 @@
 import errno
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -359,6 +360,13 @@ class TestSeries:
         write_manifest(entries, mp)
         mp.write_text("# comment line\n" + mp.read_text())
         assert read_manifest(mp) == entries
+
+    @pytest.mark.parametrize("time", ["abc", "nan", "inf", "-inf"])
+    def test_manifest_rejects_bad_time(self, tmp_path, time):
+        mp = tmp_path / "series.tsv"
+        mp.write_text(f"# header\na.nii\t21\nb.nii\t{time}\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(mp))}:3: time .* finite"):
+            read_manifest(mp)
 
     @pytest.mark.parametrize("name", ["#scan.nii", "a\tb.nii", "a\nb.nii"])
     def test_manifest_rejects_unreadable_path(self, tmp_path, name):
