@@ -415,6 +415,12 @@ def cmd_eval(cfg: RunConfig) -> None:
     axis = cfg["eval.efc_axis"]
     recon_labels = [met.threshold_labels(v, thr) for v in recon.volumes]
     ref_labels = [met.threshold_labels(v, thr) for v in ref.volumes]
+    for t, a, b in zip(recon.times, recon_labels, ref_labels):
+        empty = [name for name, lab in (("recon", a), ("reference", b)) if not lab.data.any()]
+        if empty:
+            print(f"warning: empty {' and '.join(empty)} label map at time {format_time(t)} "
+                  f"(no voxel above eval.label_threshold {format_time(thr)}); dice_1 and tc "
+                  "count two empty maps as 100", file=sys.stderr)
 
     efc = [met.efc_volume(v, axis) for v in recon.volumes]
     dice_row = [met.dice(a, b, 1) for a, b in zip(recon_labels, ref_labels)]

@@ -59,9 +59,37 @@ class FourierEncoder:
             raise ValueError(f"points must have 4 components, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError("non-finite coordinate input")
-        arg_s = 2.0 * np.pi * (p[:, :3] @ self.b_space.T)
-        arg_t = 2.0 * np.pi * (p[:, 3:4] @ self.b_time.T)
         feats = np.concatenate(
-            [np.cos(arg_s), np.sin(arg_s), np.cos(arg_t), np.sin(arg_t)], axis=1
+            [*_cos_sin(p[:, :3], self.b_space), *_cos_sin(p[:, 3:4], self.b_time)], axis=1
         )
         return feats[0] if single else feats
+
+    def encode_space(self, xyz: np.ndarray) -> np.ndarray:
+        """The [cos_space, sin_space] block alone for (n, 3) coordinates.
+
+        Equals the leading 2 * l_space columns of `encode` bit for bit.
+        """
+        return np.concatenate(_cos_sin(xyz, self.b_space), axis=1)
+
+
+def row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with each row's bits independent of how many rows a has.
+
+    numpy hands a one-row product to gemv, and OpenBLAS sums products under
+    5 columns wide in an order that depends on the row count; both round
+    unlike gemm. Such narrow products are formed row by row with einsum,
+    and a single row goes through gemm doubled. Wider products rely on
+    gemm, whose sums did not depend on the row count for a C-contiguous b
+    in every shape the network uses (OpenBLAS 0.3.31, Haswell kernels); a
+    transposed b there takes small-size kernels that round differently.
+    """
+    if b.shape[1] < 5:
+        return np.einsum("ij,jk->ik", a, b)
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
+def _cos_sin(x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    arg = 2.0 * np.pi * row_matmul(x, b.T)
+    return np.cos(arg), np.sin(arg)

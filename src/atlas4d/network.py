@@ -26,9 +26,16 @@ folded into one Linear -> ReLU with
     W' = W * scale[:, None]
     b' = beta - running_mean * scale
 The fold is recomputed from the live arrays on every call (a few small
-vector ops per layer), so in-place parameter updates are always seen. ReLU
-runs in place, and at skip layers it writes into a buffer whose tail
-already holds the raw input, so no concatenation copy is made.
+vector ops per layer), so in-place parameter updates are always seen.
+Eval mode concatenates nothing: it splits the input into its leading
+2 * l_space spatial columns and the trailing time columns, and a layer
+that reads the raw input (layer 1, and each layer after a skip) sums
+x_time @ W_time'.T + h @ W_h'.T + x_space @ W_space'.T + b'. `space_terms`
+forms the x_space products, which do not depend on time, so `reconstruct`
+forms them once per chunk for all times; `eval_forward` is the one
+eval-mode layer loop. Its products go through `encoding.row_matmul`, so a
+row's output does not depend on how many rows share a call. A model
+without an encoder treats all input columns as spatial. ReLU runs in place.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import FourierEncoder
+from .encoding import FourierEncoder, row_matmul
 from .volume_io import write_atomic
 
 
@@ -184,7 +191,8 @@ class InrModel:
                 f"feature width mismatch: got {x.shape}, need (*, {self.cfg.input_dim})"
             )
         if self.mode != "train":
-            return self._forward_eval(x), None
+            k = self.cfg.input_dim if self.encoder is None else 2 * self.encoder.l_space
+            return self.eval_forward(self.space_terms(x[:, :k]), x[:, k:]), None
         if x.shape[0] < 2:
             raise ValueError("train-mode forward needs a batch of at least 2")
 
@@ -241,28 +249,59 @@ class InrModel:
         np.maximum(h, 0.0, out=h)
         return out
 
-    def _forward_eval(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode forward with batch norm folded into each hidden layer."""
-        cfg = self.cfg
-        width = cfg.hidden_width
-        a = x
-        for j in range(1, cfg.n_layers):
-            scale = self.bn_gamma[j - 1] / np.sqrt(self.bn_var[j - 1] + cfg.bn_epsilon)
-            w = self.weights[j - 1] * scale[:, None]
-            b = self.bn_beta[j - 1] - self.bn_mean[j - 1] * scale
-            if j in cfg.skip_layers:
-                out = np.empty((x.shape[0], width + cfg.input_dim))
-                out[:, width:] = x
-                h = out[:, :width]
-                np.matmul(a, w.T, out=h)
+    def _folded(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode (W'.T, b') of layer j, batch norm folded in.
+
+        W'.T is C-contiguous, and so is each row block the split products
+        take: the layout encoding.row_matmul relies on.
+        """
+        if j == self.cfg.n_layers:
+            return self.weights[-1].T, self.out_bias
+        scale = self.bn_gamma[j - 1] / np.sqrt(self.bn_var[j - 1] + self.cfg.bn_epsilon)
+        return (np.multiply(self.weights[j - 1].T, scale, order="C"),
+                self.bn_beta[j - 1] - self.bn_mean[j - 1] * scale)
+
+    def space_terms(self, x_space: np.ndarray) -> dict[int, np.ndarray]:
+        """Eval-mode products of the leading input columns, by layer.
+
+        For layer 1 and each layer after a skip (the layers that read the raw
+        input), the product of x_space, the input's leading columns, with
+        those columns of the folded weight. Rows that differ only in the
+        trailing columns share these terms; see eval_forward.
+        """
+        terms = {}
+        for j in (1, *(s + 1 for s in self.cfg.skip_layers)):
+            wt, _ = self._folded(j)
+            lo = wt.shape[0] - self.cfg.input_dim
+            terms[j] = row_matmul(x_space, wt[lo:lo + x_space.shape[1]])
+        return terms
+
+    def eval_forward(self, terms: dict[int, np.ndarray], x_rest: np.ndarray) -> np.ndarray:
+        """Eval-mode output from space_terms(x[:, :k]) and x_rest = x[:, k:].
+
+        The pre-activation of a layer that reads the raw input is
+        x_rest @ W_rest.T (+ h @ W_h.T) + terms[j] + b, summed in that
+        order; `terms` is only read. Every eval-mode prediction runs this
+        loop, so a row's output does not depend on how rows were grouped
+        into calls or on which calls shared their terms.
+        """
+        n_layers = self.cfg.n_layers
+        a = None
+        for j in range(1, n_layers + 1):
+            wt, b = self._folded(j)
+            if j in terms:
+                lo = wt.shape[0] - self.cfg.input_dim
+                h = row_matmul(x_rest, wt[wt.shape[0] - x_rest.shape[1]:])
+                if lo:
+                    h += row_matmul(a, wt[:lo])
+                h += terms[j]
             else:
-                out = h = a @ w.T
+                h = row_matmul(a, wt)
             h += b
-            np.maximum(h, 0.0, out=h)
-            a = out
-        y = a @ self.weights[-1].T
-        y += self.out_bias
-        return y.ravel()
+            if j < n_layers:
+                np.maximum(h, 0.0, out=h)
+            a = h
+        return a.ravel()
 
     def backward(self, cache: ForwardCache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given dLoss/dOutput for the batch.

@@ -277,17 +277,13 @@ def _check_pair(m1: InrModel, m2: InrModel) -> None:
         raise ValueError("encoder mismatch between models")
 
 
-def _average(m1: InrModel, m2: InrModel, feats1: np.ndarray, feats2: np.ndarray) -> np.ndarray:
-    y1, _ = m1.forward(feats1)
-    y2, _ = m2.forward(feats2)
-    return 0.5 * y1 + 0.5 * y2
-
-
 def average_predict(m1: InrModel, m2: InrModel, points: np.ndarray) -> np.ndarray:
     """Arithmetic mean of both models' eval-mode predictions."""
     _check_pair(m1, m2)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return _average(m1, m2, m1.encoder.encode(points), m2.encoder.encode(points))
+    y1, _ = m1.forward(m1.encoder.encode(points))
+    y2, _ = m2.forward(m2.encoder.encode(points))
+    return 0.5 * y1 + 0.5 * y2
 
 
 def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
@@ -300,12 +296,14 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     for temporal and spatial upsampling. Predictions are clipped to the
     normalized [0, 1] training range before optional denormalization.
 
-    The grid is walked in chunks of `chunk` voxels. Each model encodes a
-    chunk's spatial features once; for each time only the trailing time
-    block of the features (block order [cos_s, sin_s, cos_t, sin_t]) is
-    overwritten. Values equal average_predict's bit for bit. Beyond the
-    output volumes, memory is bounded by two chunk-sized feature arrays and
-    the network's per-chunk activations.
+    The grid is walked in chunks of `chunk` voxels, one model at a time.
+    For each chunk a model encodes only the spatial block of the features
+    and computes its InrModel.space_terms once; for each time it then fills
+    a (chunk, 2 * l_time) block with that time's encoding and runs
+    InrModel.eval_forward, the loop behind every eval-mode prediction, so
+    values equal average_predict's bit for bit. Beyond the output volumes,
+    memory is bounded by one model's spatial terms, (1 + number of skip
+    layers) * chunk * hidden_width floats, and its per-chunk activations.
     """
     m1.eval()
     m2.eval()
@@ -325,16 +323,16 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     space_dim = 2 * m1.encoder.l_space
     t_blocks = [m.encoder.encode(t_points)[:, space_dim:] for m in (m1, m2)]
 
-    pred = np.empty((times.size, n))
+    # Each model adds its half: pred ends as average_predict's 0.5 * y1 + 0.5 * y2.
+    pred = np.zeros((times.size, n))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        pts = np.zeros((hi - lo, 4))
-        pts[:, :3] = grid[lo:hi]
-        feats = [m.encoder.encode(pts) for m in (m1, m2)]
-        for k in range(times.size):
-            for f, tb in zip(feats, t_blocks):
-                f[:, space_dim:] = tb[k]
-            pred[k, lo:hi] = _average(m1, m2, *feats)
+        for m, t_block in zip((m1, m2), t_blocks):
+            terms = m.space_terms(m.encoder.encode_space(grid[lo:hi]))
+            x_time = np.empty((hi - lo, t_block.shape[1]))
+            for k in range(times.size):
+                x_time[:] = t_block[k]
+                pred[k, lo:hi] += 0.5 * m.eval_forward(terms, x_time)
 
     np.clip(pred, 0.0, 1.0, out=pred)
     volumes = []

@@ -338,7 +338,11 @@ def format_time(t: float) -> str:
 
 
 def write_manifest(entries: Sequence[tuple], path) -> None:
-    """Write a manifest for read_manifest; a path it cannot read back raises ValueError."""
+    """Write a manifest for read_manifest.
+
+    A path or time it cannot read back (a non-finite time) raises ValueError
+    naming the entry, before anything is written.
+    """
     path = Path(path)
     lines = []
     for p, t in entries:
@@ -350,6 +354,8 @@ def write_manifest(entries: Sequence[tuple], path) -> None:
         if rel.startswith("#") or rel != rel.lstrip() or "\t" in rel or rel.splitlines() != [rel]:
             raise ValueError(f"manifest cannot hold path {rel!r}: it starts with '#' or "
                              f"whitespace, or holds a tab or line break")
+        if not math.isfinite(float(t)):
+            raise ValueError(f"manifest cannot hold time {t!r} of {rel!r}: it is not finite")
         lines.append(f"{rel}\t{format_time(t)}")
     write_atomic(path, "\n".join(lines) + "\n")
 

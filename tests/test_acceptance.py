@@ -210,6 +210,7 @@ def denoising_runs():
     return runs, time.monotonic() - t0
 
 
+@pytest.mark.slow
 def test_criterion_5_end_to_end_denoising(denoising_runs):
     runs, elapsed = denoising_runs
     mse_ratio = float(np.mean([r["mse_recon"] / r["mse_noisy"] for r in runs]))
@@ -226,6 +227,7 @@ def test_criterion_5_end_to_end_denoising(denoising_runs):
             f"tc wins {tc_wins}/10 (need >=7), runtime {elapsed:.0f}s (limit 1800s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_refine_sanity(denoising_runs):
     runs, _ = denoising_runs
     drops, best_ok = [], []

@@ -190,6 +190,21 @@ class TestPipeline:
         names = [ln.split("\t")[0] for ln in lines[1:]]
         assert names == ["efc", "dice_1", "tc", "mse", "psnr"]
 
+    def test_eval_warns_on_empty_label_maps(self, finished_run, capsys):
+        # The TINY recon peaks well below the 0.75 threshold, the reference does not.
+        tmp_path, cfg = finished_run
+        assert _run("infer", "--config", str(cfg)) == 0
+        report = (tmp_path / "run" / "metrics.tsv").read_bytes()
+        assert _run("eval", "--config", str(cfg), "--set", "eval.label_threshold=0.01") == 0
+        assert "warning" not in capsys.readouterr().err
+        assert _run("eval", "--config", str(cfg)) == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("warning:")]
+        assert len(warnings) == 6
+        assert all("empty recon label map" in w and "0.75" in w for w in warnings)
+        assert "at time 21 " in warnings[0] and "at time 26 " in warnings[-1]
+        assert (tmp_path / "run" / "metrics.tsv").read_bytes() == report
+
     def test_infer_extra_time_and_scale(self, finished_run):
         tmp_path, cfg = finished_run
         rc = _run("infer", "--config", str(cfg), "--times", "21.5",

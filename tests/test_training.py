@@ -399,6 +399,38 @@ class TestReconstruct:
                 want = want * (scale[1] - scale[0]) + scale[0]
             assert np.array_equal(out.volumes[k].flat(), want), t
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_layers=st.integers(2, 5), skip=st.sampled_from(["none", "first", "last"]),
+           width=st.sampled_from([3, 6]), chunk=st.sampled_from([1, 7, 1000]),
+           times=st.sampled_from([[1.5], [0.0, 1.5, 2.0, 3.0]]),
+           seed=st.integers(0, 2**16))
+    def test_equals_average_predict_bitwise_random_architectures(
+            self, n_layers, skip, width, chunk, times, seed):
+        # A skip at n_layers - 1 feeds the raw input into the output layer.
+        skips = {"none": (), "first": (1,), "last": (n_layers - 1,)}[skip]
+        series = _constant_series(dims=(2, 2, 2))
+        rng = np.random.default_rng(seed)
+        models = []
+        for s in (seed, seed + 1):
+            m = make_model(series, l_space=5, l_time=3, hidden_width=width,
+                           n_layers=n_layers, skip_layers=skips, seed=s)
+            for j in range(n_layers - 1):  # batch norm far from identity
+                m.bn_gamma[j][:] = rng.uniform(-2.0, 2.0, width)
+                m.bn_beta[j][:] = rng.normal(size=width)
+                m.bn_mean[j][:] = rng.normal(size=width)
+                m.bn_var[j][:] = 10.0 ** rng.uniform(-3.0, 1.0, width)
+            m.weights[-1] *= 0.1  # keep outputs inside the [0, 1] clip
+            m.out_bias[:] = 0.5
+            models.append(m)
+        dims = (4, 3, 2)  # 24 voxels: chunk 7 leaves a partial chunk, 1000 exceeds the grid
+        out = reconstruct(*models, dims, series.spacing, times, chunk=chunk)
+        grid = coord_grid(dims)
+        for k, t in enumerate(times):
+            tn = normalize_times([t], series.time_range)[0]
+            pts = np.column_stack([grid, np.full(grid.shape[0], tn)])
+            want = np.clip(average_predict(*models, pts), 0.0, 1.0)
+            assert np.array_equal(out.volumes[k].flat(), want), t
+
     def test_missing_time_range_rejected(self):
         series, m1, m2 = self._trained_pair()
         m1.meta = {}

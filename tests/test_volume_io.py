@@ -1,5 +1,6 @@
 import errno
 import gzip
+import math
 import re
 import struct
 
@@ -367,6 +368,14 @@ class TestSeries:
         mp.write_text(f"# header\na.nii\t21\nb.nii\t{time}\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(mp))}:3: time .* finite"):
             read_manifest(mp)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_manifest_writer_rejects_non_finite_time(self, tmp_path, time):
+        mp = tmp_path / "series.tsv"
+        entries = [(tmp_path / "a.nii", 21.0), (tmp_path / "b.nii", time)]
+        with pytest.raises(ValueError, match=r"time .* of 'b\.nii': it is not finite"):
+            write_manifest(entries, mp)
+        assert not mp.exists()
 
     @pytest.mark.parametrize("name", ["#scan.nii", "a\tb.nii", "a\nb.nii"])
     def test_manifest_rejects_unreadable_path(self, tmp_path, name):
