@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -35,6 +36,7 @@ from .training import (
 from .volume_io import (
     Volume3D,
     format_time,
+    iter_series,
     load_series,
     normalize_intensity,
     read_manifest,
@@ -405,34 +407,45 @@ def cmd_eval(cfg: RunConfig) -> None:
     if not ref_manifest.is_file():
         raise ConfigError(f"reference manifest not found: {ref_manifest}")
 
-    recon = load_series(read_manifest(recon_manifest), label="recon")
-    ref = load_series(read_manifest(ref_manifest), label="reference")
-    if recon.n_times != ref.n_times or recon.dims != ref.dims:
+    # One (recon, reference) pair is read at a time; only the recon label
+    # maps, which tc needs, outlive their pair.
+    times, recon_vols = iter_series(read_manifest(recon_manifest), label="recon")
+    ref_times, ref_vols = iter_series(read_manifest(ref_manifest), label="reference")
+    if len(times) != len(ref_times):
         raise ConfigError("recon and reference series do not match in shape")
 
     # Thresholding gives class-1 maps, so DICE and TC score class 1.
     thr = cfg["eval.label_threshold"]
     axis = cfg["eval.efc_axis"]
-    recon_labels = [met.threshold_labels(v, thr) for v in recon.volumes]
-    ref_labels = [met.threshold_labels(v, thr) for v in ref.volumes]
-    for t, a, b in zip(recon.times, recon_labels, ref_labels):
-        empty = [name for name, lab in (("recon", a), ("reference", b)) if not lab.data.any()]
+    efc, dice_row, recon_labels = [], [], []
+    sq_sum, ref_max = 0.0, -math.inf
+    for t in times:
+        # Not zip: its reused result tuple would keep the last pair alive.
+        a, b = next(recon_vols), next(ref_vols)
+        if a.dims != b.dims:
+            raise ConfigError("recon and reference series do not match in shape")
+        la, lb = met.threshold_labels(a, thr), met.threshold_labels(b, thr)
+        empty = [name for name, lab in (("recon", la), ("reference", lb)) if not lab.data.any()]
         if empty:
             print(f"warning: empty {' and '.join(empty)} label map at time {format_time(t)} "
                   f"(no voxel above eval.label_threshold {format_time(thr)}); dice_1 and tc "
                   "count two empty maps as 100", file=sys.stderr)
+        efc.append(met.efc_volume(a, axis))
+        dice_row.append(met.dice(la, lb, 1))
+        recon_labels.append(la)
+        sq_sum += met.squared_error_sum(a, b)
+        ref_max = max(ref_max, float(b.data.max()))
+        del a, b  # free this pair before the next one is read
 
-    efc = [met.efc_volume(v, axis) for v in recon.volumes]
-    dice_row = [met.dice(a, b, 1) for a, b in zip(recon_labels, ref_labels)]
-    tc_row = [met.tc(recon_labels, None, m, 1) for m in range(recon.n_times)]
+    tc_row = [met.tc(recon_labels, None, m, 1) for m in range(len(times))]
     peak = cfg["eval.psnr_peak"]
     if peak <= 0:
-        peak = float(max(v.data.max() for v in ref.volumes))
-    g_mse = met.series_mse(recon, ref)
+        peak = ref_max
+    g_mse = sq_sum / (len(times) * math.prod(recon_labels[0].dims))
     g_psnr = met.psnr(g_mse, peak)
 
     report = met.MetricsReport(
-        times=[float(t) for t in recon.times],
+        times=[float(t) for t in times],
         efc=efc,
         tc=tc_row,
         dice=dice_row,

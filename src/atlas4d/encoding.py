@@ -79,9 +79,12 @@ def row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     5 columns wide in an order that depends on the row count; both round
     unlike gemm. Such narrow products are formed row by row with einsum,
     and a single row goes through gemm doubled. Wider products rely on
-    gemm, whose sums did not depend on the row count for a C-contiguous b
-    in every shape the network uses (OpenBLAS 0.3.31, Haswell kernels); a
-    transposed b there takes small-size kernels that round differently.
+    gemm with a C-contiguous b (a transposed b takes small-size kernels
+    that round differently). That holds only for the shapes it was checked
+    on: with OpenBLAS 0.3.31 (Haswell kernels) an eval-mode forward at
+    hidden widths 48 and 256 is row-independent, but at widths such as
+    9-12, 17, 18, 20 and 28 a call of a few dozen rows rounds some rows
+    differently from a call of thousands.
     """
     if b.shape[1] < 5:
         return np.einsum("ij,jk->ik", a, b)

@@ -37,7 +37,8 @@ def psnr(mse: float, peak: float) -> float:
 def series_mse(a: Volume4D, b: Volume4D) -> float:
     """Mean squared difference over every voxel and time point.
 
-    Sums one volume at a time, so only one volume-sized temporary exists.
+    Sums one volume at a time (squared_error_sum), so only one volume-sized
+    temporary exists.
     """
     if a.n_times != b.n_times:
         raise ValueError("series length mismatch")
@@ -45,10 +46,15 @@ def series_mse(a: Volume4D, b: Volume4D) -> float:
         raise ValueError(f"series dims mismatch: {a.dims} vs {b.dims}")
     total = 0.0
     for va, vb in zip(a.volumes, b.volumes):
-        d = va.data - vb.data
-        np.square(d, out=d)
-        total += float(d.sum())
+        total += squared_error_sum(va, vb)
     return total / (a.n_times * math.prod(a.dims))
+
+
+def squared_error_sum(a: Volume3D, b: Volume3D) -> float:
+    """Sum of squared voxel differences of two same-shaped volumes."""
+    d = a.data - b.data
+    np.square(d, out=d)
+    return float(d.sum())
 
 
 def msd_temporal(series: Volume4D) -> float:
@@ -145,8 +151,9 @@ def tc(labels: Sequence[LabelVolume], fields: None, m: int, class_id: int) -> fl
 
 
 def threshold_labels(vol: Volume3D, threshold: float) -> LabelVolume:
-    """Class-1 label map of voxels strictly above an intensity threshold."""
-    return LabelVolume(vol.dims, vol.spacing, (vol.data > threshold).astype(np.int64))
+    """Class-1 label map (uint8) of voxels strictly above an intensity threshold."""
+    # A bool array viewed as uint8 holds exactly 0 and 1: no copy is made.
+    return LabelVolume(vol.dims, vol.spacing, (vol.data > threshold).view(np.uint8))
 
 
 # ---------------------------------------------------------------------------

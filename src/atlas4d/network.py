@@ -283,7 +283,8 @@ class InrModel:
         x_rest @ W_rest.T (+ h @ W_h.T) + terms[j] + b, summed in that
         order; `terms` is only read. Every eval-mode prediction runs this
         loop, so a row's output does not depend on how rows were grouped
-        into calls or on which calls shared their terms.
+        into calls or on which calls shared their terms, as far as its
+        products do not (encoding.row_matmul).
         """
         n_layers = self.cfg.n_layers
         a = None

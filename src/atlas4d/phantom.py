@@ -128,7 +128,7 @@ def generate(cfg: PhantomConfig) -> tuple[Volume4D, Volume4D, list[LabelVolume]]
         clean, s_in = _compose(cfg, s_out, d_in, cfg.inner_at(t))
         clean_vols.append(Volume3D(cfg.dims, spacing, clean))
         labels.append(
-            LabelVolume(cfg.dims, spacing, (s_in >= 1.0).astype(np.int64))
+            LabelVolume(cfg.dims, spacing, (s_in >= 1.0).view(np.uint8))
         )
 
         r_max = cfg.outer_at(t) * min(_OUTER_ANISOTROPY) - cfg.edge_width - 1.0

@@ -301,7 +301,9 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     and computes its InrModel.space_terms once; for each time it then fills
     a (chunk, 2 * l_time) block with that time's encoding and runs
     InrModel.eval_forward, the loop behind every eval-mode prediction, so
-    values equal average_predict's bit for bit. Beyond the output volumes,
+    values equal average_predict's bit for bit wherever its products are
+    row-independent (see encoding.row_matmul for the widths where OpenBLAS
+    breaks that at small chunks). Beyond the output volumes,
     memory is bounded by one model's spatial terms, (1 + number of skip
     layers) * chunk * hidden_width floats, and its per-chunk activations.
     """

@@ -18,7 +18,7 @@ import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,7 +71,11 @@ class Volume3D:
 
 @dataclass
 class LabelVolume:
-    """Integer class id per voxel, 0 = background."""
+    """Integer class id per voxel, 0 = background.
+
+    The data keeps its own integer dtype; the maps this package builds
+    are uint8, one byte per voxel.
+    """
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
@@ -85,13 +89,20 @@ class LabelVolume:
         self.data = np.asarray(self.data)
         if not np.issubdtype(self.data.dtype, np.integer):
             raise ValueError("label data must be integer")
-        self.data = self.data.astype(np.int64, copy=False)
         if self.data.shape != self.dims:
             raise ValueError(
                 f"data shape {self.data.shape} does not match dims {self.dims}"
             )
         if self.data.min(initial=0) < 0:
             raise ValueError("label ids must be >= 0")
+
+
+def _check_grid(vol: Volume3D, dims, spacing) -> None:
+    """Raise unless vol has the dims and spacing of its series' first volume."""
+    if vol.dims != dims:
+        raise ValueError("dimension mismatch across series")
+    if not np.allclose(vol.spacing, spacing, atol=1e-6):
+        raise ValueError("spacing mismatch across series")
 
 
 @dataclass
@@ -110,12 +121,8 @@ class Volume4D:
             raise ValueError("empty series")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        ref = self.volumes[0]
         for v in self.volumes[1:]:
-            if v.dims != ref.dims:
-                raise ValueError("dimension mismatch across series")
-            if not np.allclose(v.spacing, ref.spacing, atol=1e-6):
-                raise ValueError("spacing mismatch across series")
+            _check_grid(v, self.volumes[0].dims, self.volumes[0].spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -287,11 +294,15 @@ def write_atomic(path, data: bytes | str) -> None:
 # Series assembly
 
 
-def load_series(manifest: Sequence[tuple], *, label: str = "series") -> Volume4D:
-    """Assemble a 4D series from (path, time_in_weeks) entries.
+def iter_series(manifest: Sequence[tuple], *,
+                label: str = "series") -> tuple[np.ndarray, Iterator[Volume3D]]:
+    """Check a series' (path, time_in_weeks) entries; return times and a reader.
 
-    Entries are sorted by time; at least two distinct time points are
-    required and all volumes must share dims and spacing.
+    Entries are sorted by time, and at least two distinct time points are
+    required; both are checked here, before any file is read. The returned
+    iterator reads one volume per step, in time order, and raises when a
+    volume's dims or spacing differ from the first volume's. It keeps no
+    reference to a volume it has handed out.
     """
     entries = [(Path(p), float(t)) for p, t in manifest]
     if len(entries) < 2:
@@ -300,8 +311,27 @@ def load_series(manifest: Sequence[tuple], *, label: str = "series") -> Volume4D
     if len(set(times)) != len(times):
         raise ValueError(f"{label}: duplicate time point")
     entries.sort(key=lambda e: e[1])
-    volumes = [read_nifti(p) for p, _ in entries]
-    return Volume4D(volumes=volumes, times=np.array([t for _, t in entries]))
+
+    def volumes():
+        grid = None
+        for p, _ in entries:
+            vol = read_nifti(p)
+            if grid is None:
+                grid = vol.dims, vol.spacing
+            _check_grid(vol, *grid)
+            yield vol
+            del vol
+
+    return np.array([t for _, t in entries]), volumes()
+
+
+def load_series(manifest: Sequence[tuple], *, label: str = "series") -> Volume4D:
+    """Assemble a 4D series from (path, time_in_weeks) entries.
+
+    The entries and volumes are checked as iter_series checks them.
+    """
+    times, volumes = iter_series(manifest, label=label)
+    return Volume4D(volumes=list(volumes), times=times)
 
 
 def read_manifest(path) -> list[tuple[Path, float]]:

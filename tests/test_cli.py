@@ -1,12 +1,30 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
+from atlas4d import cli, volume_io
 from atlas4d.cli import ConfigError, load_config, main
 from atlas4d.encoding import FourierEncoder
+from atlas4d.metrics import (
+    MetricsReport,
+    dice,
+    efc_volume,
+    psnr,
+    series_mse,
+    tc,
+    threshold_labels,
+)
 from atlas4d.network import MlpConfig, init_mlp, save_checkpoint
-from atlas4d.volume_io import read_manifest, read_nifti
+from atlas4d.volume_io import (
+    Volume3D,
+    load_series,
+    read_manifest,
+    read_nifti,
+    write_manifest,
+    write_nifti,
+)
 
 # Small-but-real pipeline settings: 16^3 grid, 6 weeks, narrow network.
 TINY = """
@@ -205,6 +223,50 @@ class TestPipeline:
         assert "at time 21 " in warnings[0] and "at time 26 " in warnings[-1]
         assert (tmp_path / "run" / "metrics.tsv").read_bytes() == report
 
+    def test_eval_report_equals_whole_series_metrics(self, finished_run):
+        # The report eval streams pair by pair equals the one computed from
+        # both whole series. The TINY recon peaks at 0.11-0.17, so at 0.09 its
+        # maps are neither empty nor full.
+        tmp_path, cfg = finished_run
+        run = tmp_path / "run"
+        assert _run("infer", "--config", str(cfg)) == 0
+        assert _run("eval", "--config", str(cfg), "--set", "eval.label_threshold=0.09") == 0
+        recon = load_series(read_manifest(run / "recon" / "recon.tsv"))
+        ref = load_series(read_manifest(run / "phantom" / "clean.tsv"))
+        recon_labels = [threshold_labels(v, 0.09) for v in recon.volumes]
+        ref_labels = [threshold_labels(v, 0.09) for v in ref.volumes]
+        mse = series_mse(recon, ref)
+        want = MetricsReport(
+            times=[float(t) for t in recon.times],
+            efc=[efc_volume(v, 2) for v in recon.volumes],
+            tc=[tc(recon_labels, None, m, 1) for m in range(recon.n_times)],
+            dice=[dice(a, b, 1) for a, b in zip(recon_labels, ref_labels)],
+            mse=mse,
+            psnr=psnr(mse, float(max(v.data.max() for v in ref.volumes))),
+        )
+        assert 0.0 < min(want.dice) < 100.0
+        assert (run / "metrics.tsv").read_bytes() == want.to_tsv().encode()
+
+    def test_eval_holds_at_most_two_volumes(self, finished_run, monkeypatch):
+        # Every volume eval reads is tracked by a weak reference, wherever
+        # the read is looked up, so the count is of volumes still alive.
+        tmp_path, cfg = finished_run
+        assert _run("infer", "--config", str(cfg)) == 0
+        read = volume_io.read_nifti
+        refs, most = [], [0]
+
+        def tracked(path):
+            vol = read(path)
+            refs.append(weakref.ref(vol))
+            most[0] = max(most[0], sum(r() is not None for r in refs))
+            return vol
+
+        monkeypatch.setattr(volume_io, "read_nifti", tracked)
+        monkeypatch.setattr(cli, "read_nifti", tracked)
+        assert _run("eval", "--config", str(cfg)) == 0
+        assert len(refs) == 12
+        assert most[0] == 2
+
     def test_infer_extra_time_and_scale(self, finished_run):
         tmp_path, cfg = finished_run
         rc = _run("infer", "--config", str(cfg), "--times", "21.5",
@@ -266,6 +328,54 @@ class TestPipeline:
         assert len(warnings) == 1
         assert "20" in warnings[0] and "22" not in warnings[0]
         assert "[21, 26]" in warnings[0]
+
+
+class TestEvalBoundary:
+    """Bad eval input exits 1 with its cause and writes no metrics.tsv."""
+
+    def _series(self, tmp_path, name, times, odd=None, dims=(4, 4, 4)):
+        # odd: (index, dims, spacing) of the one volume that differs.
+        rng = np.random.default_rng(len(times))
+        entries = []
+        for i, t in enumerate(times):
+            d, spacing = odd[1:] if odd is not None and odd[0] == i else (dims, (1, 1, 1))
+            p = tmp_path / f"{name}_{i}.nii"
+            write_nifti(Volume3D(d, spacing, rng.uniform(0.5, 1.0, d)), p)
+            entries.append((p, t))
+        write_manifest(entries, tmp_path / f"{name}.tsv")
+
+    def _eval(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("run_dir = run\neval.recon_manifest = recon.tsv\n"
+                       "eval.reference_manifest = reference.tsv\n")
+        return _run("eval", "--config", str(cfg))
+
+    def test_valid_series_pass(self, tmp_path):
+        self._series(tmp_path, "recon", [21.0, 22.0, 23.0])
+        self._series(tmp_path, "reference", [21.0, 22.0, 23.0])
+        assert self._eval(tmp_path) == 0
+        assert (tmp_path / "run" / "metrics.tsv").is_file()
+
+    @pytest.mark.parametrize("recon, reference, message", [
+        (([21.0, 22.0, 23.0],), ([21.0, 22.0, 23.0, 24.0],),
+         "recon and reference series do not match in shape"),
+        (([21.0, 22.0, 23.0],), ([21.0, 22.0, 23.0], None, (4, 4, 5)),
+         "recon and reference series do not match in shape"),
+        (([21.0, 22.0, 23.0], (2, (5, 4, 4), (1, 1, 1))), ([21.0, 22.0, 23.0],),
+         "dimension mismatch across series"),
+        (([21.0, 22.0, 23.0],), ([21.0, 22.0, 23.0], (1, (4, 4, 4), (1, 1, 2))),
+         "spacing mismatch across series"),
+        (([21.0],), ([21.0, 22.0],), "recon: need at least 2 entries"),
+        (([21.0, 22.0, 23.0],), ([21.0, 22.0, 22.0],), "reference: duplicate time point"),
+    ], ids=["lengths", "dims-between-series", "dims-at-third-pair", "spacing",
+            "one-entry", "duplicate-time"])
+    def test_rejected(self, tmp_path, capsys, recon, reference, message):
+        self._series(tmp_path, "recon", *recon)
+        self._series(tmp_path, "reference", *reference)
+        assert self._eval(tmp_path) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "metrics.tsv").exists()
 
 
 def _hash_tree(root):

@@ -253,7 +253,27 @@ class TestThresholdLabels:
     def test_threshold(self):
         vol = _vol(np.array([[[0.2, 0.8]], [[0.75, 1.0]]]))
         lab = threshold_labels(vol, 0.75)
+        assert lab.data.dtype == np.uint8
         assert np.array_equal(lab.data, [[[0, 1]], [[0, 1]]])
+
+
+class TestLabelDtype:
+    # 44 is 300 mod 256: a uint8 comparison that wrapped class 300 would match it.
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6),
+           dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+           class_id=st.sampled_from([0, 1, 2, 44, 255, 300]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_uint8_maps_score_as_their_int64_copies(self, n, dims, class_id, seed):
+        rng = np.random.default_rng(seed)
+        ids = np.array([0, 1, 2, 44, 255], dtype=np.uint8)
+        small = [LabelVolume(dims, (1, 1, 1), rng.choice(ids, dims)) for _ in range(n + 1)]
+        wide = [_labels(lab.data.astype(np.int64)) for lab in small]
+        assert small[0].data.dtype == np.uint8 and wide[0].data.dtype == np.int64
+        assert dice(small[0], small[1], class_id) == dice(wide[0], wide[1], class_id)
+        if n >= 2:
+            for m in range(n):
+                assert tc(small[:n], None, m, class_id) == tc(wide[:n], None, m, class_id)
 
 
 class TestReport:

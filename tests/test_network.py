@@ -17,6 +17,7 @@ from atlas4d.network import (
     save_checkpoint,
 )
 from atlas4d.network import _pack_container, _unpack_container
+from atlas4d.volume_io import coord_grid
 
 
 def mse_loss(model, x, target):
@@ -368,6 +369,22 @@ class TestFoldedEval:
         y1, _ = model.forward(x)
         assert not np.array_equal(y0, y1)
         assert np.allclose(y1, _unfolded_eval(model, x), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("width", [48, 256])
+    def test_rows_independent_of_call_size_at_network_widths(self, width):
+        # Row independence is a property of the BLAS kernels OpenBLAS picks
+        # per shape, not of every width: with OpenBLAS 0.3.31, widths such
+        # as 10, 12, 17 or 28 give a 17-row call other last bits than one
+        # 4096-row call. This pins the widths the acceptance and paper
+        # configurations use.
+        enc = FourierEncoder(40, 12, seed=1)
+        model = init_mlp(MlpConfig(input_dim=enc.out_dim, hidden_width=width),
+                         seed=3, encoder=enc).eval()
+        grid = coord_grid((16, 16, 16))
+        x = enc.encode(np.column_stack([grid, np.full(grid.shape[0], 0.3)]))
+        whole, _ = model.forward(x)
+        parts = [model.forward(x[i:i + 17])[0] for i in range(0, x.shape[0], 17)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 class TestBackward:
     def _small(self, seed=0):

@@ -20,6 +20,7 @@ from atlas4d.volume_io import (
     Volume4D,
     coord_grid,
     denormalize_intensity,
+    iter_series,
     load_series,
     normalize_intensity,
     normalize_times,
@@ -292,11 +293,20 @@ class TestLabelVolume:
         data = np.zeros((2, 3, 4), dtype=np.int64)
         assert np.shares_memory(LabelVolume(data.shape, (1, 1, 1), data).data, data)
 
-    def test_other_integer_data_becomes_int64(self):
-        data = np.ones((2, 2, 2), dtype=np.int32)
-        lab = LabelVolume(data.shape, (1, 1, 1), data)
-        assert lab.data.dtype == np.int64
-        assert np.array_equal(lab.data, data)
+    def test_int32_and_uint8_data_keep_dtype_and_memory(self):
+        for dtype in (np.int32, np.uint8):
+            data = np.ones((2, 2, 2), dtype=dtype)
+            lab = LabelVolume(data.shape, (1, 1, 1), data)
+            assert lab.data.dtype == dtype
+            assert np.shares_memory(lab.data, data)
+
+    def test_bool_and_negative_ids_rejected(self):
+        with pytest.raises(ValueError, match="must be integer"):
+            LabelVolume((2, 2, 2), (1, 1, 1), np.ones((2, 2, 2), dtype=bool))
+        data = np.zeros((2, 2, 2), dtype=np.int32)
+        data[1, 0, 1] = -1
+        with pytest.raises(ValueError, match=">= 0"):
+            LabelVolume(data.shape, (1, 1, 1), data)
 
 
 class TestSeries:
@@ -336,6 +346,24 @@ class TestSeries:
         entries = self._write_series(tmp_path, [21.0])
         with pytest.raises(ValueError, match="at least 2"):
             load_series(entries)
+
+    def test_iter_series_checks_entries_before_reading(self, tmp_path):
+        missing = tmp_path / "never_written.nii"
+        with pytest.raises(ValueError, match="recon: need at least 2"):
+            iter_series([(missing, 21.0)], label="recon")
+        with pytest.raises(ValueError, match="reference: duplicate"):
+            iter_series([(missing, 21.0), (missing, 21.0)], label="reference")
+
+    def test_iter_series_reads_lazily_in_time_order(self, tmp_path):
+        entries = self._write_series(tmp_path, [23.0, 21.0, 22.0])
+        p_bad = tmp_path / "bad.nii"
+        write_nifti(_vol((3, 3, 3), spacing=(1.0, 1.0, 2.0)), p_bad)
+        times, volumes = iter_series(entries + [(p_bad, 24.0)])
+        assert list(times) == [21.0, 22.0, 23.0, 24.0]
+        for want in (1, 2, 0):
+            assert np.array_equal(next(volumes).data, read_nifti(entries[want][0]).data)
+        with pytest.raises(ValueError, match="spacing mismatch across series"):
+            next(volumes)
 
     def test_manifest_round_trip(self, tmp_path):
         entries = self._write_series(tmp_path, [21.0, 22.5, 24.0])
