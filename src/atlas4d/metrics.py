@@ -89,8 +89,8 @@ def efc_slice(slice_2d: np.ndarray) -> float:
     if x_max == 0.0:
         raise BackgroundSliceError("all-zero background slice")
     r = x / x_max
-    nz = r > 0.0
-    entropy = -float(np.sum(r[nz] * np.log(r[nz])))
+    r = r[r > 0.0]
+    entropy = -float(np.sum(r * np.log(r)))
     norm = math.sqrt(s) * math.log(math.sqrt(s))
     return entropy / norm + 0.0  # avoid returning -0.0 for pure slices
 

@@ -223,8 +223,7 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
     params1, params2 = m1.params(), m2.params()
     adam1, adam2 = AdamState(params1), AdamState(params2)
     hist = RefineHistory()
-    best_total = np.inf
-    best_state = (m1.snapshot(), m2.snapshot())
+    best_total = np.inf  # epoch 0 always improves on it, so sets best_state
 
     for epoch in range(cfg.refine_max_epochs):
         rng1 = _epoch_rng(cfg.seed_sampling, 101, epoch)
@@ -258,6 +257,8 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
             best_state = (m1.snapshot(), m2.snapshot())
         elif epoch - hist.best_epoch >= cfg.patience:
             break
+        if epoch == cfg.refine_max_epochs - 1:
+            break  # load_snapshot below would discard this epoch's update
 
         lr = lr_at(cfg.refine_schedule, epoch)
         _update(m1, params1, adam1, lr, (cache1, d1), (cache1c, d_cross))

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from atlas4d import phantom
 from atlas4d.metrics import msd_temporal
 from atlas4d.phantom import PhantomConfig, generate
 
@@ -103,6 +108,104 @@ def test_generate_matches_per_time_formula():
         assert np.array_equal(clean.volumes[k].data, want_clean)
         assert np.array_equal(labels[k].data, s_in >= 1.0)
         assert np.array_equal(noisy.volumes[k].data, want_noisy)
+
+
+def _closed_form(cfg):
+    """(clean, noisy, labels) arrays from one full-grid expression per time."""
+    cx, cy, cz = ((n - 1) / 2.0 for n in cfg.dims)
+    x = np.arange(cfg.dims[0])[:, None, None] - cx
+    y = np.arange(cfg.dims[1])[None, :, None] - cy
+    z = np.arange(cfg.dims[2])[None, None, :] - cz
+    bg, tissue, inner = cfg.levels
+
+    def smoothstep(u):
+        s = np.clip(u, 0.0, 1.0)
+        return s * s * (3.0 - 2.0 * s)
+
+    def compose(t, inner_r):
+        r_out = cfg.outer_at(t)
+        ax, ay, az = (a * r_out for a in (1.0, 0.92, 0.86))
+        rho = np.sqrt((x / ax) ** 2 + (y / ay) ** 2 + (z / az) ** 2)
+        s_out = smoothstep((1.0 - rho) * r_out / cfg.edge_width + 0.5)
+        d_in = np.sqrt(x ** 2 + y ** 2 + z ** 2)
+        s_in = smoothstep((inner_r - d_in) / cfg.edge_width + 0.5)
+        return bg + (tissue - bg) * s_out + (inner - tissue) * s_in, s_in
+
+    jitter = np.random.default_rng([cfg.seed, 0]).normal(
+        0.0, cfg.structural_jitter_sigma, cfg.n_times)
+    clean, noisy, labels = [], [], []
+    for k, t in enumerate(cfg.times()):
+        vol, s_in = compose(t, cfg.inner_at(t))
+        clean.append(vol)
+        labels.append(s_in >= 1.0)
+        r_max = cfg.outer_at(t) * 0.86 - cfg.edge_width - 1.0
+        vol, _ = compose(t, float(np.clip(cfg.inner_at(t) + jitter[k], 0.8, r_max)))
+        if cfg.intensity_noise_sigma > 0:
+            vol = vol + np.random.default_rng([cfg.seed, 1, k]).normal(
+                0.0, cfg.intensity_noise_sigma, cfg.dims)
+        noisy.append(vol)
+    return clean, noisy, labels
+
+
+@st.composite
+def _phantom_configs(draw):
+    dims = tuple(draw(st.integers(24, 64)) for _ in range(3))
+    edge = draw(st.floats(0.5, 3.0))
+    outer_r0 = draw(st.floats(4.0, min(dims) / 2.0 - edge - 1.0))
+    inner_r0 = draw(st.floats(0.5, max(1.0, 0.86 * outer_r0 - edge - 0.5)))
+    cfg = PhantomConfig(
+        dims=dims, n_times=draw(st.integers(2, 3)),
+        time_start=21.0, time_end=21.0 + draw(st.floats(1.0, 6.0)),
+        outer_radius=(outer_r0, draw(st.floats(-0.4, 0.5))),
+        inner_radius=(inner_r0, draw(st.floats(-0.2, 0.3))),
+        levels=tuple(draw(st.floats(-2.0, 2.0)) for _ in range(3)),
+        edge_width=edge,
+        structural_jitter_sigma=draw(st.sampled_from([0.0, 0.8])),
+        intensity_noise_sigma=draw(st.sampled_from([0.0, 0.05])),
+        seed=draw(st.integers(0, 2 ** 16)))
+    try:
+        phantom._check_geometry(cfg)
+    except ValueError:
+        assume(False)
+    return cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(_phantom_configs())
+@example(PhantomConfig(dims=(24, 31, 40), n_times=3, time_end=24.0,
+                       outer_radius=(7.0, 0.2), inner_radius=(3.0, 0.1),
+                       levels=(-0.0, 0.5, 1.0), edge_width=0.5))  # background is +0.0
+def test_generate_matches_closed_form_property(cfg):
+    # Bit for bit, sign of zero included: the box generate computes in must
+    # not change a single voxel, whatever the grid, levels or edge width.
+    clean, noisy, labels = generate(cfg)
+    want_clean, want_noisy, want_labels = _closed_form(cfg)
+    for got, want in zip(clean.volumes + noisy.volumes, want_clean + want_noisy):
+        assert np.array_equal(got.data, want)
+        assert np.array_equal(np.signbit(got.data), np.signbit(want))
+    for got, want in zip(labels, want_labels):
+        assert np.array_equal(got.data, want)
+
+
+def test_geometry_is_computed_only_near_the_shell(monkeypatch):
+    # At atlas size the shell fills ~2% of the grid; generate must not
+    # evaluate the shell over the background. At 32³ its box would hold
+    # most of the grid, and generate uses the whole grid instead.
+    shapes = []
+    outer_shell = phantom._outer_shell
+
+    def recording(cfg, x, y, z, t):
+        s_out = outer_shell(cfg, x, y, z, t)
+        shapes.append(s_out.shape)
+        return s_out
+
+    monkeypatch.setattr(phantom, "_outer_shell", recording)
+    generate(PhantomConfig(dims=(112, 112, 112), n_times=2))
+    assert len(shapes) == 2
+    assert all(math.prod(s) <= 0.05 * 112 ** 3 for s in shapes)
+    shapes.clear()
+    generate(PhantomConfig(n_times=2))
+    assert shapes == [(32, 32, 32)] * 2
 
 
 def test_radius_escaping_grid_rejected():

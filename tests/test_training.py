@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atlas4d.network import InrModel
 from atlas4d.optimizer import DivergenceError, LrSchedule
 from atlas4d.phantom import PhantomConfig, generate
 from atlas4d.training import (
@@ -282,6 +283,26 @@ class TestRefine:
         if hist.best_epoch == 0:
             for k, v in m1.state_dict().items():
                 assert np.array_equal(v, snap_before[0][k])
+
+    @pytest.mark.parametrize("max_epochs, patience", [(6, 10), (200, 1)])
+    def test_no_update_after_last_recorded_epoch(self, monkeypatch, max_epochs, patience):
+        # An update after the last recorded epoch would be overwritten by the
+        # best snapshot, so refine runs 4 backward passes per epoch but the last.
+        _, series, split = self._noisy_setup()
+        cfg = _tiny_cfg(refine_max_epochs=max_epochs, patience=patience)
+        m1, m2 = _tiny_model(series, 1), _tiny_model(series, 2)
+        calls = []
+        backward = InrModel.backward
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return backward(self, *args, **kwargs)
+
+        monkeypatch.setattr(InrModel, "backward", counting)
+        _, _, hist = refine(m1, m2, series, split, cfg)
+        stopped_early = len(hist.l_total) < max_epochs
+        assert stopped_early == (patience < max_epochs)
+        assert len(calls) == 4 * (len(hist.l_total) - 1)
 
     def test_empty_midpoints_rejected(self):
         _, series, split = self._noisy_setup()
