@@ -15,7 +15,7 @@ import inspect
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ from .training import (
     split_timepoints,
 )
 from .volume_io import (
-    Volume3D,
     format_time,
     iter_series,
     load_series,
@@ -70,10 +69,10 @@ _MLP = {f.name: f.default for f in fields(MlpConfig)}
 _ENCODER = inspect.signature(FourierEncoder).parameters
 _PHANTOM = ph.PhantomConfig()
 
-# key -> (parser, default). Paths stay strings here; resolution happens at
-# use time relative to the config file's directory.
+# key -> (parser, default). load_config resolves the Path keys against the
+# config file's directory when it reads the file; an empty path is None.
 _SCHEMA = {
-    "run_dir": (str, None),
+    "run_dir": (Path, None),
     "phantom.dims": (_parse_int_tuple, _PHANTOM.dims),
     "phantom.n_times": (int, _PHANTOM.n_times),
     "phantom.time_start": (float, _PHANTOM.time_start),
@@ -82,17 +81,14 @@ _SCHEMA = {
     "phantom.outer_slope": (float, _PHANTOM.outer_radius[1]),
     "phantom.inner_r0": (float, _PHANTOM.inner_radius[0]),
     "phantom.inner_slope": (float, _PHANTOM.inner_radius[1]),
-    "phantom.level_background": (float, _PHANTOM.levels[0]),
-    "phantom.level_tissue": (float, _PHANTOM.levels[1]),
-    "phantom.level_inner": (float, _PHANTOM.levels[2]),
     "phantom.edge_width": (float, _PHANTOM.edge_width),
     # PhantomConfig defaults to a clean series; the CLI's phantom is noisy
     # by default, since it exists to feed the denoising pipeline.
     "phantom.jitter_sigma": (float, 1.5),
     "phantom.noise_sigma": (float, 0.02),
     "phantom.seed": (int, _PHANTOM.seed),
-    "data.manifest": (str, ""),
-    "data.mask": (str, ""),
+    "data.manifest": (Path, None),
+    "data.mask": (Path, None),
     "encoder.l_space": (int, _ENCODER["l_space"].default),
     "encoder.l_time": (int, _ENCODER["l_time"].default),
     "mlp.hidden_width": (int, _MLP["hidden_width"]),
@@ -115,40 +111,23 @@ _SCHEMA = {
     "infer.times": (_parse_float_list, []),
     "infer.scale": (float, 1.0),
     "infer.stage": (str, "refined"),
-    "eval.recon_manifest": (str, ""),
-    "eval.reference_manifest": (str, ""),
+    "eval.recon_manifest": (Path, None),
+    "eval.reference_manifest": (Path, None),
     "eval.label_threshold": (float, 0.75),
     "eval.efc_axis": (int, 2),
     "eval.psnr_peak": (float, 0.0),  # 0 = use the reference maximum
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict
-    base_dir: Path
+def load_config(path, overrides=()) -> dict:
+    """Parse and validate the config file plus `key=value` overrides.
 
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def run_dir(self) -> Path:
-        raw = self.values["run_dir"]
-        if raw is None:
-            raise ConfigError("run_dir is required")
-        p = Path(raw)
-        return p if p.is_absolute() else self.base_dir / p
-
-    def path(self, key: str, default: Path | None = None) -> Path | None:
-        raw = self.values[key]
-        if not raw:
-            return default
-        p = Path(raw)
-        return p if p.is_absolute() else self.base_dir / p
-
-
-def load_config(path, overrides=()) -> RunConfig:
-    """Parse and validate the config file plus `key=value` overrides."""
+    Returns a plain dict with one entry per _SCHEMA key. The path keys
+    (run_dir, data.manifest, data.mask, eval.recon_manifest and
+    eval.reference_manifest) hold Paths resolved against the config file's
+    directory, or None when unset or empty. A config without run_dir fails
+    here, before any command starts work.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -170,18 +149,23 @@ def load_config(path, overrides=()) -> RunConfig:
     unknown = sorted(set(raw) - set(_SCHEMA))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    base_dir = path.parent.resolve()
     values = {}
     for key, (cast, default) in _SCHEMA.items():
-        if key in raw:
+        if key not in raw:
+            values[key] = default
+        elif cast is Path:
+            values[key] = base_dir / raw[key] if raw[key] else None
+        else:
             try:
                 values[key] = cast(raw[key])
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {exc}")
             if cast in (float, _parse_float_list) and not np.all(np.isfinite(values[key])):
                 raise ConfigError(f"bad value for {key}: {raw[key]!r} is not finite")
-        else:
-            values[key] = default
-    return RunConfig(values=values, base_dir=path.parent.resolve())
+    if values["run_dir"] is None:
+        raise ConfigError("run_dir is required")
+    return values
 
 
 def _write_artifacts(run_dir: Path, command: str, paths: list[Path]) -> None:
@@ -189,7 +173,7 @@ def _write_artifacts(run_dir: Path, command: str, paths: list[Path]) -> None:
     write_atomic(run_dir / f"artifacts_{command}.txt", "\n".join(lines) + "\n")
 
 
-def _train_config(cfg: RunConfig, mask=None) -> TrainConfig:
+def _train_config(cfg: dict, mask=None) -> TrainConfig:
     return TrainConfig(
         lambda_fidelity=cfg["train.lambda"],
         batch_size=cfg["train.batch_size"],
@@ -207,9 +191,8 @@ def _train_config(cfg: RunConfig, mask=None) -> TrainConfig:
     )
 
 
-def _load_training_series(cfg: RunConfig):
-    manifest_path = cfg.path("data.manifest",
-                             cfg.run_dir / "phantom" / "noisy.tsv")
+def _load_training_series(cfg: dict):
+    manifest_path = cfg["data.manifest"] or cfg["run_dir"] / "phantom" / "noisy.tsv"
     if not manifest_path.is_file():
         raise StageOrderError(
             f"training manifest not found: {manifest_path} (run phantom first "
@@ -217,10 +200,39 @@ def _load_training_series(cfg: RunConfig):
         )
     series = load_series(read_manifest(manifest_path))
     mask = None
-    mask_path = cfg.path("data.mask")
+    mask_path = cfg["data.mask"]
     if mask_path is not None:
-        mask = read_nifti(mask_path).data > 0
+        vol = read_nifti(mask_path)
+        if vol.dims != series.dims:
+            raise ConfigError(f"data.mask {mask_path} has dims {vol.dims}, "
+                              f"the training series {series.dims}")
+        mask = vol.data > 0
+        if not mask.any():
+            raise ConfigError(f"data.mask {mask_path} has no nonzero voxel")
     return normalize_intensity(series), mask
+
+
+def _write_series(out_dir: Path, series: dict, times) -> list[Path]:
+    """Write each named series as <name>_w<time>.nii files plus <name>.tsv.
+
+    series maps a name to its volumes, one per time. Volumes are written
+    time point by time point, in series order within each; the manifests
+    follow, in series order. Returns every path written, in that order.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    produced = []
+    entries = {name: [] for name in series}
+    for k, t in enumerate(times):
+        for name, volumes in series.items():
+            p = out_dir / f"{name}_w{format_time(t)}.nii"
+            write_nifti(volumes[k], p)
+            entries[name].append((p, float(t)))
+            produced.append(p)
+    for name in series:
+        p = out_dir / f"{name}.tsv"
+        write_manifest(entries[name], p)
+        produced.append(p)
+    return produced
 
 
 def _loss_log(path: Path, header: str, rows) -> None:
@@ -234,7 +246,7 @@ def _loss_log(path: Path, header: str, rows) -> None:
 # Commands
 
 
-def cmd_phantom(cfg: RunConfig) -> None:
+def cmd_phantom(cfg: dict) -> None:
     pcfg = ph.PhantomConfig(
         dims=cfg["phantom.dims"],
         n_times=cfg["phantom.n_times"],
@@ -242,47 +254,28 @@ def cmd_phantom(cfg: RunConfig) -> None:
         time_end=cfg["phantom.time_end"],
         outer_radius=(cfg["phantom.outer_r0"], cfg["phantom.outer_slope"]),
         inner_radius=(cfg["phantom.inner_r0"], cfg["phantom.inner_slope"]),
-        levels=(cfg["phantom.level_background"], cfg["phantom.level_tissue"],
-                cfg["phantom.level_inner"]),
         edge_width=cfg["phantom.edge_width"],
         structural_jitter_sigma=cfg["phantom.jitter_sigma"],
         intensity_noise_sigma=cfg["phantom.noise_sigma"],
         seed=cfg["phantom.seed"],
     )
     clean, noisy, labels = ph.generate(pcfg)
-    out = cfg.run_dir / "phantom"
-    out.mkdir(parents=True, exist_ok=True)
-
-    produced = []
-    manifests = {"clean": [], "noisy": [], "labels": []}
-    for k, t in enumerate(clean.times):
-        for name, vol in (("clean", clean.volumes[k]), ("noisy", noisy.volumes[k])):
-            p = out / f"{name}_w{format_time(t)}.nii"
-            write_nifti(vol, p)
-            manifests[name].append((p, float(t)))
-            produced.append(p)
-        lab = labels[k]
-        p = out / f"labels_w{format_time(t)}.nii"
-        write_nifti(Volume3D(lab.dims, lab.spacing, lab.data.astype(np.float64)), p)
-        manifests["labels"].append((p, float(t)))
-        produced.append(p)
-    for name, entries in manifests.items():
-        mp = out / f"{name}.tsv"
-        write_manifest(entries, mp)
-        produced.append(mp)
-    _write_artifacts(cfg.run_dir, "phantom", produced)
+    out = cfg["run_dir"] / "phantom"
+    produced = _write_series(out, {"clean": clean.volumes, "noisy": noisy.volumes,
+                                   "labels": labels}, clean.times)
+    _write_artifacts(cfg["run_dir"], "phantom", produced)
     print(f"phantom: wrote {len(clean.times)} time points under {out}")
 
 
-def cmd_pretrain(cfg: RunConfig) -> None:
+def cmd_pretrain(cfg: dict) -> None:
     series, mask = _load_training_series(cfg)
     tcfg = _train_config(cfg, mask)
     split = split_timepoints(series.times)
     # encoder.* and mlp.* keys are make_model's architecture kwargs.
-    arch = {key.split(".", 1)[1]: value for key, value in cfg.values.items()
+    arch = {key.split(".", 1)[1]: value for key, value in cfg.items()
             if key.startswith(("encoder.", "mlp."))}
 
-    run_dir = cfg.run_dir
+    run_dir = cfg["run_dir"]
     run_dir.mkdir(parents=True, exist_ok=True)
     produced = []
     for name, indices, seed, stream in [
@@ -314,8 +307,8 @@ def _load_pair(run_dir: Path, stage: str) -> tuple[InrModel, InrModel]:
     return load_checkpoint(paths[0]), load_checkpoint(paths[1])
 
 
-def cmd_refine(cfg: RunConfig) -> None:
-    run_dir = cfg.run_dir
+def cmd_refine(cfg: dict) -> None:
+    run_dir = cfg["run_dir"]
     m1, m2 = _load_pair(run_dir, "pretrained")
     series, mask = _load_training_series(cfg)
     tcfg = _train_config(cfg, mask)
@@ -343,8 +336,8 @@ def cmd_refine(cfg: RunConfig) -> None:
           f"l_cross {hist.l_cross[hist.best_epoch]:.3e}")
 
 
-def cmd_infer(cfg: RunConfig) -> None:
-    run_dir = cfg.run_dir
+def cmd_infer(cfg: dict) -> None:
+    run_dir = cfg["run_dir"]
     stage = cfg["infer.stage"]
     if stage not in ("refined", "pretrained"):
         raise ConfigError(f"infer.stage must be refined or pretrained, got {stage!r}")
@@ -375,35 +368,21 @@ def cmd_infer(cfg: RunConfig) -> None:
                         None if scale_pair is None else tuple(scale_pair))
 
     out = run_dir / "recon"
-    out.mkdir(parents=True, exist_ok=True)
-    produced = []
-    entries = []
-    for k, t in enumerate(recon.times):
-        p = out / f"recon_w{format_time(t)}.nii"
-        write_nifti(recon.volumes[k], p)
-        entries.append((p, float(t)))
-        produced.append(p)
-    mp = out / "recon.tsv"
-    # Volumes the previous manifest listed but this one does not are stale;
-    # only files in the recon directory itself are ever removed.
-    if mp.is_file():
-        for p, _ in read_manifest(mp):
-            if p not in produced and p.parent.resolve() == out.resolve():
-                p.unlink(missing_ok=True)
-    write_manifest(entries, mp)
-    produced.append(mp)
+    produced = _write_series(out, {"recon": recon.volumes}, recon.times)
+    # recon/ holds only this run's volumes: any other recon_w*.nii is stale.
+    for p in set(out.glob("recon_w*.nii")) - set(produced):
+        p.unlink()
     _write_artifacts(run_dir, "infer", produced)
-    print(f"infer ({stage}): wrote {len(entries)} volumes at dims {dims}")
+    print(f"infer ({stage}): wrote {len(recon.times)} volumes at dims {dims}")
 
 
-def cmd_eval(cfg: RunConfig) -> None:
-    run_dir = cfg.run_dir
-    recon_manifest = cfg.path("eval.recon_manifest", run_dir / "recon" / "recon.tsv")
+def cmd_eval(cfg: dict) -> None:
+    run_dir = cfg["run_dir"]
+    recon_manifest = cfg["eval.recon_manifest"] or run_dir / "recon" / "recon.tsv"
     if not recon_manifest.is_file():
         raise StageOrderError(f"reconstruction manifest not found: {recon_manifest} "
                               "(run infer first)")
-    ref_manifest = cfg.path("eval.reference_manifest",
-                            run_dir / "phantom" / "clean.tsv")
+    ref_manifest = cfg["eval.reference_manifest"] or run_dir / "phantom" / "clean.tsv"
     if not ref_manifest.is_file():
         raise ConfigError(f"reference manifest not found: {ref_manifest}")
 

@@ -93,6 +93,11 @@ def _compose(cfg: PhantomConfig, s_out: np.ndarray, d_in: np.ndarray,
     return s_in
 
 
+def _jitter_range(cfg: PhantomConfig, t: float) -> tuple[float, float]:
+    """Clamp range of the jittered inner radius, which keeps it in the shell."""
+    return 0.8, cfg.outer_at(t) * min(_OUTER_ANISOTROPY) - cfg.edge_width - 1.0
+
+
 def _check_geometry(cfg: PhantomConfig) -> None:
     half = min(cfg.dims) / 2.0
     for t in cfg.times():
@@ -104,6 +109,10 @@ def _check_geometry(cfg: PhantomConfig) -> None:
             raise ValueError(f"inner radius not positive at t={t:g}")
         if r_in + cfg.edge_width + 0.5 > r_out * min(_OUTER_ANISOTROPY):
             raise ValueError(f"inner structure escapes the outer shell at t={t:g}")
+        lo, hi = _jitter_range(cfg, t)
+        if hi <= lo:
+            raise ValueError(f"jittered inner radius has no room at t={t:g}: its "
+                             f"clamp range [{lo:g}, {hi:g}] has no width")
 
 
 def _shell_box(cfg: PhantomConfig) -> tuple[slice, slice, slice]:
@@ -187,8 +196,7 @@ def generate(cfg: PhantomConfig) -> tuple[Volume4D, Volume4D, list[LabelVolume]]
         np.greater_equal(s_in, 1.0, out=label[box].view(np.bool_))
         labels.append(LabelVolume(cfg.dims, spacing, label))
 
-        r_max = cfg.outer_at(t) * min(_OUTER_ANISOTROPY) - cfg.edge_width - 1.0
-        r_noisy = float(np.clip(cfg.inner_at(t) + jitter[k], 0.8, r_max))
+        r_noisy = float(np.clip(cfg.inner_at(t) + jitter[k], *_jitter_range(cfg, t)))
         noisy, _ = volume(s_out, r_noisy)
         if cfg.intensity_noise_sigma > 0:
             noise_rng = np.random.default_rng([cfg.seed, 1, k])

@@ -292,7 +292,8 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
                 chunk: int = 16384) -> Volume4D:
     """Sample the averaged model on a full grid at each requested time.
 
-    Times do not have to match the training time points and dims may differ
+    Times must be strictly increasing, which is checked before any work.
+    They do not have to match the training time points and dims may differ
     from the training grid, which is what makes the representation usable
     for temporal and spatial upsampling. Predictions are clipped to the
     normalized [0, 1] training range before optional denormalization.
@@ -308,13 +309,15 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     memory is bounded by one model's spatial terms, (1 + number of skip
     layers) * chunk * hidden_width floats, and its per-chunk activations.
     """
+    times = np.asarray(times, dtype=np.float64)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
     m1.eval()
     m2.eval()
     t_range = m1.meta.get("time_range")
     if t_range is None or m2.meta.get("time_range") != t_range:
         raise ValueError("models lack a shared training time range")
     _check_pair(m1, m2)
-    times = np.asarray(times, dtype=np.float64)
     t_norm = normalize_times(times, tuple(t_range))
     grid = coord_grid(dims)
     n = grid.shape[0]

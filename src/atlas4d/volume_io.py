@@ -238,6 +238,10 @@ def read_nifti(path) -> Volume3D:
 def write_nifti(vol: Volume3D, path) -> None:
     """Write a volume as single-file NIfTI-1 with a float32 payload.
 
+    A LabelVolume is accepted too: its integer data is written as float32
+    values (the package's uint8 label maps as 0.0 and 1.0), the same bytes
+    as a float64 copy would give.
+
     Gzip compression is selected by a .gz suffix; compressed output embeds
     no timestamp, so identical volumes produce identical bytes.
     """

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from atlas4d import cli, volume_io
+from atlas4d import cli, phantom, volume_io
 from atlas4d.cli import ConfigError, load_config, main
 from atlas4d.encoding import FourierEncoder
 from atlas4d.metrics import (
@@ -76,8 +76,11 @@ def _run(*argv):
 class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         # `threads` is rejected too: BLAS threads are set in the environment;
-        # `eval.tc_class` too: thresholded maps only hold class 1
-        for line in ("not.a.key = 1", "threads = 2", "eval.tc_class = 1"):
+        # `eval.tc_class` too: thresholded maps only hold class 1; and the
+        # `phantom.level_*` keys: the CLI phantom uses PhantomConfig's levels
+        for line in ("not.a.key = 1", "threads = 2", "eval.tc_class = 1",
+                     "phantom.level_background = 0", "phantom.level_tissue = 0.5",
+                     "phantom.level_inner = 1"):
             cfg = tmp_path / "bad.cfg"
             cfg.write_text(f"run_dir = out\n{line}\n")
             assert _run("phantom", "--config", str(cfg)) == 1
@@ -111,12 +114,33 @@ class TestConfigParsing:
         cfg.write_text("# a comment\nrun_dir = out  # trailing\ntrain.batch_size = 2\n")
         parsed = load_config(cfg, overrides=["train.batch_size=4"])
         assert parsed["train.batch_size"] == 4
-        assert parsed.run_dir == tmp_path / "out"
+        assert parsed["run_dir"] == tmp_path / "out"
 
     def test_hash_inside_value_kept(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("run_dir = out#1\t# comment after a tab\n")
-        assert load_config(cfg).run_dir == tmp_path / "out#1"
+        assert load_config(cfg)["run_dir"] == tmp_path / "out#1"
+
+    @pytest.mark.parametrize("run_dir_line", ["", "run_dir =\n"], ids=["missing", "empty"])
+    def test_run_dir_required_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                              run_dir_line):
+        generate, calls = phantom.generate, []
+        monkeypatch.setattr(phantom, "generate", lambda pcfg: calls.append(pcfg) or generate(pcfg))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY.replace("run_dir = {run_dir}\n", run_dir_line))
+        assert _run("phantom", "--config", str(cfg)) == 1
+        assert "error: run_dir is required" in capsys.readouterr().err
+        assert calls == []
+
+    def test_paths_resolved_at_load(self, tmp_path):
+        elsewhere = tmp_path.parent / "elsewhere" / "ref.tsv"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"run_dir = out\ndata.manifest = data/n.tsv\ndata.mask =\n"
+                       f"eval.reference_manifest = {elsewhere}\n")
+        parsed = load_config(cfg)
+        assert parsed["data.manifest"] == tmp_path / "data" / "n.tsv"
+        assert parsed["eval.reference_manifest"] == elsewhere
+        assert parsed["data.mask"] is None and parsed["eval.recon_manifest"] is None
 
     def test_defaults_fill_missing_keys(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -294,6 +318,34 @@ class TestPipeline:
         assert _run("infer", "--config", str(cfg), "--times", "21.5", "--scale", "2.0") == 0
         assert listed[0].is_file()
 
+    def test_infer_rewrites_malformed_manifest(self, finished_run):
+        tmp_path, cfg = finished_run
+        manifest = tmp_path / "run" / "recon" / "recon.tsv"
+        manifest.write_text("not a manifest line\n")
+        assert _run("infer", "--config", str(cfg)) == 0
+        assert [t for _, t in read_manifest(manifest)] == [21.0, 22.0, 23.0, 24.0, 25.0, 26.0]
+
+    def test_infer_removes_only_stale_volumes(self, finished_run):
+        tmp_path, cfg = finished_run
+        recon = tmp_path / "run" / "recon"
+        assert _run("infer", "--config", str(cfg)) == 0
+        before = {p.name for p in recon.iterdir()}
+        (recon / "recon_w99.nii").write_bytes((recon / "recon_w21.nii").read_bytes())
+        for name in ("notes.txt", "other_w22.nii"):
+            (recon / name).write_text("kept\n")
+        assert _run("infer", "--config", str(cfg)) == 0
+        assert {p.name for p in recon.iterdir()} == before | {"notes.txt", "other_w22.nii"}
+        for name in ("notes.txt", "other_w22.nii"):
+            (recon / name).unlink()
+
+    @pytest.mark.parametrize("times", ["23,22", "22,22"])
+    def test_infer_rejects_unordered_times(self, finished_run, capsys, times):
+        tmp_path, cfg = finished_run
+        before = _hash_tree(tmp_path / "run")
+        assert _run("infer", "--config", str(cfg), "--times", times) == 1
+        assert "times must be strictly increasing" in capsys.readouterr().err
+        assert _hash_tree(tmp_path / "run") == before
+
     def test_infer_pretrained_stage(self, finished_run):
         tmp_path, cfg = finished_run
         rc = _run("infer", "--config", str(cfg), "--times", "22",
@@ -328,6 +380,39 @@ class TestPipeline:
         assert len(warnings) == 1
         assert "20" in warnings[0] and "22" not in warnings[0]
         assert "[21, 26]" in warnings[0]
+
+
+class TestDataMask:
+    FAST = ("--set", "train.pretrain_epochs=3")
+
+    def _phantom_and_mask(self, tmp_path, dims, fill=1.0):
+        cfg = _write_config(tmp_path)
+        assert _run("phantom", "--config", str(cfg)) == 0
+        data = np.zeros(dims)
+        data[: dims[0] // 2] = fill
+        write_nifti(Volume3D(dims, (1, 1, 1), data), tmp_path / "mask.nii")
+        return cfg
+
+    def test_mask_on_the_grid_restricts_sampling(self, tmp_path):
+        cfg = self._phantom_and_mask(tmp_path, (16, 16, 16))
+        log = tmp_path / "run" / "pretrain_model1.tsv"
+        assert _run("pretrain", "--config", str(cfg), *self.FAST) == 0
+        unmasked = log.read_text()
+        assert _run("pretrain", "--config", str(cfg), *self.FAST,
+                    "--set", "data.mask=mask.nii") == 0
+        assert log.read_text() != unmasked
+
+    @pytest.mark.parametrize("dims, fill, message", [
+        ((16, 16, 8), 1.0, "has dims (16, 16, 8)"),
+        ((16, 16, 16), 0.0, "has no nonzero voxel"),
+    ], ids=["wrong-dims", "empty"])
+    def test_bad_mask_fails_naming_the_file(self, tmp_path, capsys, dims, fill, message):
+        cfg = self._phantom_and_mask(tmp_path, dims, fill)
+        assert _run("pretrain", "--config", str(cfg), *self.FAST,
+                    "--set", "data.mask=mask.nii") == 1
+        err = capsys.readouterr().err
+        assert f"error: data.mask {tmp_path / 'mask.nii'} {message}" in err
+        assert not list((tmp_path / "run").glob("*.ckpt"))
 
 
 class TestEvalBoundary:

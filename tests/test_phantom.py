@@ -218,6 +218,18 @@ def test_inner_escaping_shell_rejected():
         generate(_small_cfg(inner_radius=(5.5, 0.3)))
 
 
+@pytest.mark.parametrize("kw, t", [
+    # [0.8, 0.15] at every time: each noisy radius would be pinned to 0.15.
+    (dict(dims=(12, 12, 12), outer_radius=(2.5, 0.0), inner_radius=(0.2, 0.0),
+          structural_jitter_sigma=0.8), 21),
+    # A shrinking shell: the range is empty from the last time only.
+    (dict(outer_radius=(5.0, -0.5), inner_radius=(1.0, 0.0)), 25),
+])
+def test_empty_jitter_range_rejected(kw, t):
+    with pytest.raises(ValueError, match=f"inner radius has no room at t={t}:"):
+        generate(_small_cfg(**kw))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PhantomConfig(n_times=1)

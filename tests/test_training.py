@@ -452,6 +452,20 @@ class TestReconstruct:
             want = np.clip(average_predict(*models, pts), 0.0, 1.0)
             assert np.array_equal(out.volumes[k].flat(), want), t
 
+    @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0]])
+    def test_unordered_times_rejected_before_any_work(self, monkeypatch, times):
+        series, m1, m2 = self._trained_pair()
+        space_terms, calls = InrModel.space_terms, []
+
+        def counted(self, *args):
+            calls.append(args)
+            return space_terms(self, *args)
+
+        monkeypatch.setattr(InrModel, "space_terms", counted)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            reconstruct(m1, m2, series.dims, series.spacing, times)
+        assert calls == []
+
     def test_missing_time_range_rejected(self):
         series, m1, m2 = self._trained_pair()
         m1.meta = {}
