@@ -31,6 +31,7 @@ from .training import (
     pretrain,
     reconstruct,
     refine,
+    series_record,
     split_timepoints,
 )
 from .volume_io import (
@@ -114,7 +115,7 @@ _SCHEMA = {
     "eval.recon_manifest": (Path, None),
     "eval.reference_manifest": (Path, None),
     "eval.label_threshold": (float, 0.75),
-    "eval.efc_axis": (int, 2),
+    "eval.efc_axis": (int, inspect.signature(met.efc_volume).parameters["slice_axis"].default),
     "eval.psnr_peak": (float, 0.0),  # 0 = use the reference maximum
 }
 
@@ -218,6 +219,7 @@ def _write_series(out_dir: Path, series: dict, times) -> list[Path]:
     series maps a name to its volumes, one per time. Volumes are written
     time point by time point, in series order within each; the manifests
     follow, in series order. Returns every path written, in that order.
+    Any other <name>_w*.nii in out_dir is then deleted; other files stay.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     produced = []
@@ -232,6 +234,8 @@ def _write_series(out_dir: Path, series: dict, times) -> list[Path]:
         p = out_dir / f"{name}.tsv"
         write_manifest(entries[name], p)
         produced.append(p)
+    for p in {p for name in series for p in out_dir.glob(f"{name}_w*.nii")} - set(produced):
+        p.unlink()
     return produced
 
 
@@ -283,8 +287,6 @@ def cmd_pretrain(cfg: dict) -> None:
         ("model2", split.set2, tcfg.seed_model2, 1),
     ]:
         model = make_model(series, seed=seed, **arch)
-        model.meta["half"] = name
-        model.meta["time_indices"] = [int(i) for i in indices]
         model, losses = pretrain(series, indices, tcfg, model, stream=stream)
         ckpt = run_dir / f"{name}_pretrained.ckpt"
         save_checkpoint(model, ckpt)
@@ -312,10 +314,14 @@ def cmd_refine(cfg: dict) -> None:
     m1, m2 = _load_pair(run_dir, "pretrained")
     series, mask = _load_training_series(cfg)
     tcfg = _train_config(cfg, mask)
-    split = split_timepoints(series.times)
-    if m1.meta.get("time_indices") != [int(i) for i in split.set1]:
-        raise ConfigError("training manifest changed since pretrain")
+    record = series_record(series)
+    for name, model in (("model1", m1), ("model2", m2)):
+        changed = [key for key, value in record.items() if model.meta.get(key) != value]
+        if changed:
+            raise ConfigError(f"{run_dir / f'{name}_pretrained.ckpt'} was pretrained on "
+                              f"another series ({', '.join(changed)} differ): rerun pretrain")
 
+    split = split_timepoints(series.times)
     m1, m2, hist = refine(m1, m2, series, split, tcfg)
     produced = []
     for name, model in (("model1", m1), ("model2", m2)):
@@ -363,15 +369,10 @@ def cmd_infer(cfg: dict) -> None:
 
     dims = tuple(max(1, round(d * scale)) for d in meta["dims"])
     spacing = tuple(s / scale for s in meta.get("spacing", (1.0, 1.0, 1.0)))
-    scale_pair = meta.get("intensity_scale")
-    recon = reconstruct(m1, m2, dims, spacing, times,
-                        None if scale_pair is None else tuple(scale_pair))
+    recon = reconstruct(m1, m2, dims, spacing, times, meta.get("intensity_scale"))
 
     out = run_dir / "recon"
     produced = _write_series(out, {"recon": recon.volumes}, recon.times)
-    # recon/ holds only this run's volumes: any other recon_w*.nii is stale.
-    for p in set(out.glob("recon_w*.nii")) - set(produced):
-        p.unlink()
     _write_artifacts(run_dir, "infer", produced)
     print(f"infer ({stage}): wrote {len(recon.times)} volumes at dims {dims}")
 
@@ -390,8 +391,10 @@ def cmd_eval(cfg: dict) -> None:
     # maps, which tc needs, outlive their pair.
     times, recon_vols = iter_series(read_manifest(recon_manifest), label="recon")
     ref_times, ref_vols = iter_series(read_manifest(ref_manifest), label="reference")
-    if len(times) != len(ref_times):
-        raise ConfigError("recon and reference series do not match in shape")
+    if not np.array_equal(times, ref_times):
+        raise ConfigError("recon and reference series do not match in shape: times "
+                          f"{', '.join(map(format_time, times))} against "
+                          f"{', '.join(map(format_time, ref_times))}")
 
     # Thresholding gives class-1 maps, so DICE and TC score class 1.
     thr = cfg["eval.label_threshold"]

@@ -141,6 +141,15 @@ def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream, epoch])
 
 
+def series_record(series: Volume4D) -> dict:
+    """The meta a model fitted to `series` keeps: time range (which sets the
+    time normalization), times, dims, spacing and intensity scale if any."""
+    record = {"time_range": series.time_range, "times": series.times.tolist(),
+              "dims": series.dims, "spacing": series.spacing,
+              "intensity_scale": series.intensity_scale}
+    return {key: list(value) for key, value in record.items() if value is not None}
+
+
 def make_model(series: Volume4D, *, seed: int = 0, **arch) -> InrModel:
     """Initialize a network plus encoder sized for a series.
 
@@ -150,12 +159,7 @@ def make_model(series: Volume4D, *, seed: int = 0, **arch) -> InrModel:
     enc = {k: arch.pop(k) for k in ("l_space", "l_time") if k in arch}
     encoder = FourierEncoder(**enc, seed=seed)
     model = init_mlp(MlpConfig(input_dim=encoder.out_dim, **arch), seed=seed, encoder=encoder)
-    model.meta["time_range"] = list(series.time_range)
-    model.meta["times"] = [float(t) for t in series.times]
-    model.meta["dims"] = list(series.dims)
-    model.meta["spacing"] = list(series.spacing)
-    if series.intensity_scale is not None:
-        model.meta["intensity_scale"] = list(series.intensity_scale)
+    model.meta = series_record(series)
     return model
 
 

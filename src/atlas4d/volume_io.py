@@ -38,6 +38,18 @@ _HEADER_SIZE = 348
 _VOX_OFFSET = 352  # header + 4-byte extension flag
 
 
+def _init_grid(vol) -> None:
+    """Make vol's dims ints and spacing floats; raise unless they fit vol.data."""
+    vol.dims = tuple(int(d) for d in vol.dims)
+    vol.spacing = tuple(float(s) for s in vol.spacing)
+    if len(vol.dims) != 3 or any(d < 1 for d in vol.dims):
+        raise ValueError(f"invalid dims {vol.dims}")
+    if not all(0 < s < math.inf for s in vol.spacing):
+        raise ValueError(f"spacing must be positive and finite, got {vol.spacing}")
+    if vol.data.shape != vol.dims:
+        raise ValueError(f"data shape {vol.data.shape} does not match dims {vol.dims}")
+
+
 @dataclass
 class Volume3D:
     """One scalar 3D grid: voxel counts, physical spacing (mm), intensities."""
@@ -47,17 +59,8 @@ class Volume3D:
     data: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise ValueError(f"invalid dims {self.dims}")
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != self.dims:
-            raise ValueError(
-                f"data shape {self.data.shape} does not match dims {self.dims}"
-            )
+        _init_grid(self)
 
     @property
     def n_voxels(self) -> int:
@@ -82,17 +85,10 @@ class LabelVolume:
     data: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise ValueError(f"invalid dims {self.dims}")
         self.data = np.asarray(self.data)
         if not np.issubdtype(self.data.dtype, np.integer):
             raise ValueError("label data must be integer")
-        if self.data.shape != self.dims:
-            raise ValueError(
-                f"data shape {self.data.shape} does not match dims {self.dims}"
-            )
+        _init_grid(self)
         if self.data.min(initial=0) < 0:
             raise ValueError("label ids must be >= 0")
 
@@ -205,8 +201,8 @@ def read_nifti(path) -> Volume3D:
 
     pixdim = struct.unpack_from(end + "8f", raw, 76)
     spacing = tuple(float(p) for p in pixdim[1:4])
-    if any(s <= 0 for s in spacing):
-        raise NiftiError(f"corrupt file: nonpositive pixdim {spacing} ({path})")
+    if not all(0 < s < math.inf for s in spacing):
+        raise NiftiError(f"corrupt file: pixdim {spacing} is not positive and finite ({path})")
 
     (vox_offset_f,) = struct.unpack_from(end + "f", raw, 108)
     vox_offset = int(vox_offset_f)

@@ -106,6 +106,18 @@ class TestConfigParsing:
         assert f"bad value for {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, sets, message", [
+        ("run_dir = out\njust words\n", (), "c.cfg:2: expected `key = value`"),
+        ("run_dir = out\n", ("--set", "train.batch_size"),
+         "override must be key=value, got 'train.batch_size'"),
+    ], ids=["config-line", "set-item"])
+    def test_entry_without_equals_rejected(self, tmp_path, capsys, text, sets, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert _run("phantom", "--config", str(cfg), *sets) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert _run("phantom", "--config", str(tmp_path / "nope.cfg")) == 1
 
@@ -167,24 +179,75 @@ class TestStageOrder:
         assert rc == 1
         assert "manifest not found" in capsys.readouterr().err
 
-    def test_infer_without_dims_meta(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path)
-        run = tmp_path / "run"
+    @staticmethod
+    def _refined_pair(run, meta):
         run.mkdir()
         for i in (1, 2):
             enc = FourierEncoder(8, 4, seed=i)
             model = init_mlp(MlpConfig(input_dim=enc.out_dim, hidden_width=16, n_layers=6,
                                        skip_layers=(3,)), seed=i, encoder=enc)
-            model.meta = {"time_range": [21.0, 26.0], "times": [21.0, 26.0]}
+            model.meta = meta
             save_checkpoint(model, run / f"model{i}_refined.ckpt")
+
+    def test_infer_without_dims_meta(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        self._refined_pair(tmp_path / "run", {"time_range": [21.0, 26.0], "times": [21.0, 26.0]})
         assert _run("infer", "--config", str(cfg)) == 1
         err = capsys.readouterr().err
         assert "no 'dims' meta" in err and "model1_refined.ckpt" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (("--set", "infer.stage=best"), "infer.stage must be refined or pretrained, got 'best'"),
+        ((), "no inference times: set infer.times"),
+        (("--times", "22", "--scale", "0"), "infer.scale must be positive"),
+    ], ids=["stage", "no-times", "scale"])
+    def test_infer_rejected(self, tmp_path, capsys, args, message):
+        # The checkpoints record no times, so infer.times must name them.
+        cfg = _write_config(tmp_path)
+        self._refined_pair(tmp_path / "run", {"time_range": [21.0, 26.0], "dims": [4, 4, 4]})
+        assert _run("infer", "--config", str(cfg), *args) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "recon").exists()
 
     def test_eval_before_infer(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert _run("phantom", "--config", str(cfg)) == 0
         assert _run("eval", "--config", str(cfg)) == 1
+
+
+class TestStageHandOff:
+    """Each stage reads the series the stage before it wrote, and only that."""
+
+    @pytest.mark.parametrize("rerun, changed", [
+        (("phantom.time_start=30", "phantom.time_end=35"), "time_range, times"),
+        (("phantom.n_times=5",), "times"),
+    ], ids=["shifted-times", "n-times"])
+    def test_refine_rejects_another_series(self, tmp_path, capsys, rerun, changed):
+        cfg = _write_config(tmp_path)
+        assert _run("phantom", "--config", str(cfg)) == 0
+        assert _run("pretrain", "--config", str(cfg), "--set", "train.pretrain_epochs=2") == 0
+        assert _run("phantom", "--config", str(cfg),
+                    *[arg for item in rerun for arg in ("--set", item)]) == 0
+        before = _hash_tree(tmp_path / "run")
+        capsys.readouterr()
+        assert _run("refine", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'run' / 'model1_pretrained.ckpt'} was pretrained on " \
+               f"another series ({changed} differ)" in err
+        assert _hash_tree(tmp_path / "run") == before
+
+    def test_phantom_rerun_keeps_only_listed_volumes(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "run" / "phantom"
+        assert _run("phantom", "--config", str(cfg)) == 0
+        for name in ("notes.txt", "other_w22.nii"):
+            (out / name).write_text("kept\n")
+        assert _run("phantom", "--config", str(cfg), "--set", "phantom.n_times=4") == 0
+        listed = {p.name for name in ("clean", "noisy", "labels")
+                  for p, _ in read_manifest(out / f"{name}.tsv")}
+        assert len(listed) == 12
+        assert {p.name for p in out.glob("*.nii")} == listed | {"other_w22.nii"}
+        assert (out / "notes.txt").read_text() == "kept\n"
 
 
 @pytest.fixture(scope="module")
@@ -453,13 +516,23 @@ class TestEvalBoundary:
          "spacing mismatch across series"),
         (([21.0],), ([21.0, 22.0],), "recon: need at least 2 entries"),
         (([21.0, 22.0, 23.0],), ([21.0, 22.0, 22.0],), "reference: duplicate time point"),
+        (([21.0, 22.0, 23.5],), ([21.0, 22.0, 23.0],),
+         "recon and reference series do not match in shape: times 21, 22, 23.5 against "
+         "21, 22, 23\n"),
     ], ids=["lengths", "dims-between-series", "dims-at-third-pair", "spacing",
-            "one-entry", "duplicate-time"])
+            "one-entry", "duplicate-time", "times"])
     def test_rejected(self, tmp_path, capsys, recon, reference, message):
         self._series(tmp_path, "recon", *recon)
         self._series(tmp_path, "reference", *reference)
         assert self._eval(tmp_path) == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "metrics.tsv").exists()
+
+    def test_missing_reference_manifest(self, tmp_path, capsys):
+        self._series(tmp_path, "recon", [21.0, 22.0, 23.0])
+        assert self._eval(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"error: reference manifest not found: {tmp_path / 'reference.tsv'}" in err
         assert not (tmp_path / "run" / "metrics.tsv").exists()
 
 

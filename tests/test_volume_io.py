@@ -142,6 +142,24 @@ class TestNifti:
         with pytest.raises(NiftiError, match="not NIfTI-1"):
             read_nifti(p)
 
+    @pytest.mark.parametrize("fmt, offset, value, message", [
+        ("4s", 344, (b"ni1\x00",), "unsupported layout: two-file NIfTI pair"),
+        ("8h", 40, (3, 2, 0, 2, 1, 1, 1, 1), "unsupported layout: nonpositive dims (2, 0, 2)"),
+        ("h", 72, (16,), "corrupt file: bitpix 16 vs datatype 64"),
+        ("8f", 76, (1, 1, -1, 1, 0, 0, 0, 0),
+         "corrupt file: pixdim (1.0, -1.0, 1.0) is not positive and finite"),
+        ("8f", 76, (1, 1, 1, math.nan, 0, 0, 0, 0),
+         "corrupt file: pixdim (1.0, 1.0, nan) is not positive and finite"),
+        ("f", 108, (100.0,), "corrupt file: vox_offset 100"),
+    ], ids=["ni1-pair", "dims", "bitpix", "pixdim", "nan-pixdim", "vox-offset"])
+    def test_bad_header_field_rejected(self, tmp_path, fmt, offset, value, message):
+        blob = bytearray(_raw_nifti())
+        struct.pack_into("<" + fmt, blob, offset, *value)
+        p = tmp_path / "bad.nii"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(NiftiError, match=re.escape(f"{message} ({p})")):
+            read_nifti(p)
+
     def test_bad_header_size(self, tmp_path):
         blob = bytearray(_raw_nifti())
         struct.pack_into("<i", blob, 0, 999)
@@ -300,6 +318,15 @@ class TestLabelVolume:
             assert lab.data.dtype == dtype
             assert np.shares_memory(lab.data, data)
 
+    @pytest.mark.parametrize("spacing", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+                                         (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0)],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_bad_spacing_rejected(self, spacing):
+        for cls, data in ((LabelVolume, np.zeros((2, 2, 2), dtype=np.uint8)),
+                          (Volume3D, np.zeros((2, 2, 2)))):
+            with pytest.raises(ValueError, match="spacing must be positive and finite"):
+                cls((2, 2, 2), spacing, data)
+
     def test_bool_and_negative_ids_rejected(self):
         with pytest.raises(ValueError, match="must be integer"):
             LabelVolume((2, 2, 2), (1, 1, 1), np.ones((2, 2, 2), dtype=bool))
@@ -395,6 +422,12 @@ class TestSeries:
         mp = tmp_path / "series.tsv"
         mp.write_text(f"# header\na.nii\t21\nb.nii\t{time}\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(mp))}:3: time .* finite"):
+            read_manifest(mp)
+
+    def test_manifest_line_without_tab_rejected(self, tmp_path):
+        mp = tmp_path / "series.tsv"
+        mp.write_text("a.nii\t21\nb.nii 22\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(mp))}:2: expected `path<TAB>time`"):
             read_manifest(mp)
 
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
