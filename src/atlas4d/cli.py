@@ -51,10 +51,6 @@ class ConfigError(ValueError):
     pass
 
 
-class StageOrderError(RuntimeError):
-    pass
-
-
 def _parse_int_tuple(s: str) -> tuple[int, ...]:
     return tuple(int(p) for p in s.split(",") if p.strip())
 
@@ -195,7 +191,7 @@ def _train_config(cfg: dict, mask=None) -> TrainConfig:
 def _load_training_series(cfg: dict):
     manifest_path = cfg["data.manifest"] or cfg["run_dir"] / "phantom" / "noisy.tsv"
     if not manifest_path.is_file():
-        raise StageOrderError(
+        raise FileNotFoundError(
             f"training manifest not found: {manifest_path} (run phantom first "
             "or set data.manifest)"
         )
@@ -303,7 +299,7 @@ def _load_pair(run_dir: Path, stage: str) -> tuple[InrModel, InrModel]:
     paths = [run_dir / f"model1_{stage}.ckpt", run_dir / f"model2_{stage}.ckpt"]
     for p in paths:
         if not p.is_file():
-            raise StageOrderError(
+            raise FileNotFoundError(
                 f"checkpoint not found: {p} (run the earlier stage first)"
             )
     return load_checkpoint(paths[0]), load_checkpoint(paths[1])
@@ -381,11 +377,11 @@ def cmd_eval(cfg: dict) -> None:
     run_dir = cfg["run_dir"]
     recon_manifest = cfg["eval.recon_manifest"] or run_dir / "recon" / "recon.tsv"
     if not recon_manifest.is_file():
-        raise StageOrderError(f"reconstruction manifest not found: {recon_manifest} "
-                              "(run infer first)")
+        raise FileNotFoundError(f"reconstruction manifest not found: {recon_manifest} "
+                                "(run infer first)")
     ref_manifest = cfg["eval.reference_manifest"] or run_dir / "phantom" / "clean.tsv"
     if not ref_manifest.is_file():
-        raise ConfigError(f"reference manifest not found: {ref_manifest}")
+        raise FileNotFoundError(f"reference manifest not found: {ref_manifest}")
 
     # One (recon, reference) pair is read at a time; only the recon label
     # maps, which tc needs, outlive their pair.
@@ -481,7 +477,7 @@ def main(argv=None) -> int:
             overrides.append(f"infer.scale={args.scale}")
     try:
         _COMMANDS[args.command](load_config(args.config, overrides))
-    except (ConfigError, StageOrderError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -9,6 +9,11 @@ activations of the configured skip layers, the raw input features are
 concatenated back onto the hidden state, so the following layer sees
 hidden_width + input_dim inputs.
 
+One table, `_expected_shapes`, names every array of a model and gives its
+shape. `InrModel.state` maps those names to the arrays; init, params,
+state_dict and checkpoints all read names from it, and the per-layer lists
+(`weights`, `bn_gamma`, ...) hold the same array objects.
+
 Everything is float64. Train-mode forward normalizes with batch statistics
 and updates running statistics. For backward it keeps only the input and
 each hidden layer's normalized pre-activation xhat and inverse standard
@@ -80,6 +85,8 @@ class MlpConfig:
         for s in self.skip_layers:
             if not 1 <= s < self.n_layers:
                 raise ValueError(f"skip layer {s} outside [1, {self.n_layers})")
+        if len(set(self.skip_layers)) != len(self.skip_layers):
+            raise ValueError(f"skip_layers repeats a layer: {self.skip_layers}")
         if not 0.0 < self.bn_momentum <= 1.0:
             raise ValueError("bn_momentum must be in (0, 1]")
         if self.bn_epsilon <= 0.0:
@@ -113,17 +120,25 @@ class ForwardCache:
 
 
 class InrModel:
-    """One coordinate-regression network plus its feature encoder."""
+    """One coordinate-regression network plus its feature encoder.
 
-    def __init__(self, cfg: MlpConfig, weights, out_bias, bn_gamma, bn_beta,
-                 bn_mean, bn_var, encoder: FourierEncoder | None = None):
+    `state` maps every array name of _expected_shapes(cfg) to its array.
+    The per-layer lists `weights`, `bn_gamma`, `bn_beta`, `bn_mean` and
+    `bn_var` and the output layer's `out_bias` (hidden layers have none)
+    hold those same array objects, so an in-place update through either
+    view shows in the other.
+    """
+
+    def __init__(self, cfg: MlpConfig, state: dict[str, np.ndarray],
+                 encoder: FourierEncoder | None = None):
         self.cfg = cfg
-        self.weights = weights
-        self.out_bias = out_bias  # the output layer's; hidden layers have none
-        self.bn_gamma = bn_gamma
-        self.bn_beta = bn_beta
-        self.bn_mean = bn_mean
-        self.bn_var = bn_var
+        self.state = {name: state[name] for name in _expected_shapes(cfg)}
+        arrays = list(self.state.values())
+        n = cfg.n_layers
+        self.weights = arrays[:n]
+        self.out_bias = arrays[n]
+        self.bn_gamma, self.bn_beta, self.bn_mean, self.bn_var = (
+            arrays[n + 1 + k::4] for k in range(4))
         self.encoder = encoder
         self.mode = "train"
         self.meta: dict = {}
@@ -146,31 +161,20 @@ class InrModel:
     # -- parameter access --------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
-        """Live references to trainable parameters, keyed by stable names."""
-        n = self.cfg.n_layers
-        out = {f"w{j}": self.weights[j - 1] for j in range(1, n + 1)}
-        out[f"b{n}"] = self.out_bias
-        for j in range(1, n):
-            out[f"bn_g{j}"] = self.bn_gamma[j - 1]
-            out[f"bn_b{j}"] = self.bn_beta[j - 1]
-        return out
+        """Live references to trainable parameters: state minus running statistics."""
+        return {k: v for k, v in self.state.items() if not k.startswith("bn_r")}
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Trainable parameters plus batch-norm running statistics."""
-        out = self.params()
-        for j in range(1, self.cfg.n_layers):
-            out[f"bn_rm{j}"] = self.bn_mean[j - 1]
-            out[f"bn_rv{j}"] = self.bn_var[j - 1]
-        return out
+        """Live references to every array: parameters plus running statistics."""
+        return dict(self.state)
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.state_dict().items()}
+        return {k: v.copy() for k, v in self.state.items()}
 
     def load_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        state = self.state_dict()
-        if set(snap) != set(state):
+        if set(snap) != set(self.state):
             raise ValueError("snapshot keys do not match model")
-        for k, v in state.items():
+        for k, v in self.state.items():
             np.copyto(v, snap[k])
         self.mark_updated()
 
@@ -347,28 +351,38 @@ class InrModel:
         return grads
 
 
+def _expected_shapes(cfg: MlpConfig) -> dict[str, tuple[int, ...]]:
+    """The model's array names and shapes, the one table of them.
+
+    Weights w1..wn first, in layer order, then the output bias b{n}, then
+    each hidden layer's batch-norm gamma, beta, running mean and running
+    variance. InrModel slices its per-layer lists from this order.
+    """
+    n = cfg.n_layers
+    shapes = {f"w{j}": (cfg.out_width(j), cfg.in_width(j)) for j in range(1, n + 1)}
+    shapes[f"b{n}"] = (1,)
+    for j in range(1, n):
+        for kind in ("bn_g", "bn_b", "bn_rm", "bn_rv"):
+            shapes[f"{kind}{j}"] = (cfg.hidden_width,)
+    return shapes
+
+
 def init_mlp(cfg: MlpConfig, seed: int = 0, encoder: FourierEncoder | None = None) -> InrModel:
     """Fresh model: fan-in-scaled uniform weights, identity batch norm."""
     rng = np.random.default_rng(seed)
-    weights = []
-    for j in range(1, cfg.n_layers + 1):
-        fan_in = cfg.in_width(j)
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(cfg.out_width(j), fan_in)))
-        # Hidden layers drop this draw; taking it keeps each seed's weights.
-        bias = rng.uniform(-bound, bound, size=cfg.out_width(j))
-    w = cfg.hidden_width
-    n_bn = cfg.n_layers - 1
-    model = InrModel(
-        cfg,
-        weights,
-        bias,
-        bn_gamma=[np.ones(w) for _ in range(n_bn)],
-        bn_beta=[np.zeros(w) for _ in range(n_bn)],
-        bn_mean=[np.zeros(w) for _ in range(n_bn)],
-        bn_var=[np.ones(w) for _ in range(n_bn)],
-        encoder=encoder,
-    )
+    state = {}
+    for name, shape in _expected_shapes(cfg).items():
+        if len(shape) == 2:  # a weight, (out, fan_in)
+            bound = 1.0 / np.sqrt(shape[1])
+            state[name] = rng.uniform(-bound, bound, size=shape)
+            # Hidden layers drop this draw; taking it keeps each seed's weights.
+            bias = rng.uniform(-bound, bound, size=shape[0])
+        else:
+            state[name] = np.zeros(shape)
+    model = InrModel(cfg, state, encoder)
+    model.out_bias[:] = bias
+    for a in model.bn_gamma + model.bn_var:
+        a[:] = 1.0
     return model
 
 
@@ -473,17 +487,6 @@ def _unpack_container(blob: bytes, path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def _expected_shapes(cfg: MlpConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every state_dict array of a model with this architecture."""
-    n = cfg.n_layers
-    shapes = {f"w{j}": (cfg.out_width(j), cfg.in_width(j)) for j in range(1, n + 1)}
-    shapes[f"b{n}"] = (1,)
-    for j in range(1, n):
-        for kind in ("bn_g", "bn_b", "bn_rm", "bn_rv"):
-            shapes[f"{kind}{j}"] = (cfg.hidden_width,)
-    return shapes
-
-
 def save_checkpoint(model: InrModel, path) -> None:
     """Persist parameters, running stats, encoder matrices, and metadata.
 
@@ -498,7 +501,7 @@ def save_checkpoint(model: InrModel, path) -> None:
         "encoder": None,
         "meta": model.meta,
     }
-    arrays = dict(model.state_dict())
+    arrays = model.state_dict()
     if model.encoder is not None:
         meta["encoder"] = {"seed": model.encoder.seed}
         arrays["enc_b_space"] = model.encoder.b_space
@@ -553,16 +556,7 @@ def load_checkpoint(path) -> InrModel:
             )
     for name in hidden_biases:
         arrays[f"bn_rm{name[1:]}"] -= arrays[name]
-    model = InrModel(
-        cfg,
-        weights=[arrays[f"w{j}"] for j in range(1, n + 1)],
-        out_bias=arrays[f"b{n}"],
-        bn_gamma=[arrays[f"bn_g{j}"] for j in range(1, n)],
-        bn_beta=[arrays[f"bn_b{j}"] for j in range(1, n)],
-        bn_mean=[arrays[f"bn_rm{j}"] for j in range(1, n)],
-        bn_var=[arrays[f"bn_rv{j}"] for j in range(1, n)],
-        encoder=encoder,
-    )
+    model = InrModel(cfg, arrays, encoder)
     model.mode = meta.get("mode", "train")
     model.meta = meta.get("meta", {})
     if not isinstance(model.meta, dict):

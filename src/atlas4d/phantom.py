@@ -37,6 +37,9 @@ class PhantomConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.dims) != 3 or not all(isinstance(d, (int, np.integer)) and d > 0
+                                          for d in self.dims):
+            raise ValueError(f"dims must be three positive integers, got {self.dims!r}")
         if self.n_times < 2:
             raise ValueError("need at least 2 time points")
         if self.time_end <= self.time_start:

@@ -116,24 +116,23 @@ class _Sampler:
             if self.pool.size == 0:
                 raise ValueError("empty mask")
 
-    def draw(self, time_indices, n: int, rng: np.random.Generator):
-        """n random ((x, y, z, t_norm), intensity) pairs from given times."""
-        time_indices = np.asarray(time_indices, dtype=np.int64)
-        if time_indices.size == 0:
+    def _draw(self, times: np.ndarray, n: int, rng: np.random.Generator):
+        """n uniform (voxel index, entry of `times`) pairs, voxels drawn first."""
+        if times.size == 0:
             raise ValueError("no time points to sample")
         vox = self.pool[rng.integers(0, self.pool.size, n)]
-        tix = time_indices[rng.integers(0, time_indices.size, n)]
+        return vox, times[rng.integers(0, times.size, n)]
+
+    def draw(self, time_indices, n: int, rng: np.random.Generator):
+        """n random ((x, y, z, t_norm), intensity) pairs from given times."""
+        vox, tix = self._draw(np.asarray(time_indices, dtype=np.int64), n, rng)
         points = np.column_stack([self.grid[vox], self.t_norm[tix]])
         return points, self.values[tix, vox]
 
     def draw_coords(self, t_norm_values, n: int, rng: np.random.Generator) -> np.ndarray:
         """n random coordinates at the given (already normalized) times."""
-        t_norm_values = np.asarray(t_norm_values, dtype=np.float64)
-        if t_norm_values.size == 0:
-            raise ValueError("no time points to sample")
-        vox = self.pool[rng.integers(0, self.pool.size, n)]
-        tix = rng.integers(0, t_norm_values.size, n)
-        return np.column_stack([self.grid[vox], t_norm_values[tix]])
+        vox, t = self._draw(np.asarray(t_norm_values, dtype=np.float64), n, rng)
+        return np.column_stack([self.grid[vox], t])
 
 
 def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:

@@ -118,6 +118,25 @@ class TestConfigParsing:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("item, value", [
+        ("phantom.dims=32,32", "(32, 32)"), ("phantom.dims=", "()"),
+        ("phantom.dims=0,32,32", "(0, 32, 32)"),
+    ], ids=["two", "empty", "zero"])
+    def test_bad_phantom_dims_rejected(self, tmp_path, capsys, item, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("run_dir = out\n")
+        assert _run("phantom", "--config", str(cfg), "--set", item) == 1
+        assert f"error: dims must be three positive integers, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_skip_layer_rejected(self, tmp_path, capsys):
+        # A repeat would make space_terms form the next layer's terms twice.
+        cfg = _write_config(tmp_path)
+        assert _run("phantom", "--config", str(cfg)) == 0
+        assert _run("pretrain", "--config", str(cfg), "--set", "mlp.skip_layers=3,3") == 1
+        assert "error: skip_layers repeats a layer: (3, 3)" in capsys.readouterr().err
+        assert not list((tmp_path / "run").glob("*.ckpt"))
+
     def test_missing_config_file(self, tmp_path):
         assert _run("phantom", "--config", str(tmp_path / "nope.cfg")) == 1
 

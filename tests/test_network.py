@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -16,7 +17,7 @@ from atlas4d.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from atlas4d.network import _pack_container, _unpack_container
+from atlas4d.network import _expected_shapes, _pack_container, _unpack_container
 from atlas4d.volume_io import coord_grid
 
 
@@ -103,6 +104,8 @@ class TestConfig:
             MlpConfig(input_dim=4, n_layers=1)
         with pytest.raises(ValueError):
             MlpConfig(input_dim=4, n_layers=4, skip_layers=(4,))
+        with pytest.raises(ValueError, match=r"skip_layers repeats a layer: \(1, 2, 2\)"):
+            MlpConfig(input_dim=4, n_layers=4, skip_layers=(2, 1, 2))
 
 
 class TestInit:
@@ -111,6 +114,22 @@ class TestInit:
         a, b = init_mlp(cfg, seed=5), init_mlp(cfg, seed=5)
         for k, v in a.state_dict().items():
             assert np.array_equal(v, b.state_dict()[k]), k
+
+    @pytest.mark.parametrize("cfg, seed, digest", [
+        (MlpConfig(input_dim=104, hidden_width=48), 11,
+         "d512f50522b278420e0c4be0502c4c93994025e549447c1b59718f8e7bb3adac"),
+        (MlpConfig(input_dim=6, hidden_width=5, n_layers=4, skip_layers=(1, 3)), 3,
+         "42ea7388b529a935784db2453089e5e0b9cf7aba59ed6de4183450fb173416c6"),
+    ], ids=["width48", "width5-skips"])
+    def test_state_digest_pinned(self, cfg, seed, digest):
+        # sha256 over sorted (name, bytes): any change to the draw order or to
+        # an initial value moves every trained model.
+        state = init_mlp(cfg, seed=seed).state_dict()
+        h = hashlib.sha256()
+        for name in sorted(state):
+            h.update(name.encode())
+            h.update(state[name].tobytes())
+        assert h.hexdigest() == digest
 
     def test_weight_shapes_default_architecture(self):
         cfg = MlpConfig(input_dim=320, hidden_width=256)
@@ -143,6 +162,51 @@ class TestInit:
         total += 1                               # output bias
         total += 17 * 2 * w                      # bn scale + shift
         assert model.num_params() == total
+
+
+@st.composite
+def _architectures(draw):
+    n_layers = draw(st.integers(2, 6))
+    return MlpConfig(input_dim=draw(st.integers(1, 7)), hidden_width=draw(st.integers(1, 6)),
+                     n_layers=n_layers, skip_layers=draw(st.sets(st.integers(1, n_layers - 1))))
+
+
+class TestStateTable:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=_architectures(), seed=st.integers(0, 2**16))
+    def test_views_and_round_trip(self, tmp_path_factory, cfg, seed):
+        model = init_mlp(cfg, seed=seed)
+        shapes = _expected_shapes(cfg)
+        assert {k: v.shape for k, v in model.state_dict().items()} == shapes
+        assert list(model.state_dict()) == list(shapes)
+        model.forward(np.random.default_rng(seed).normal(size=(8, cfg.input_dim)))
+        running = {k: v.copy() for k, v in model.state_dict().items() if k.startswith("bn_r")}
+        n = cfg.n_layers
+        assert set(running) == {f"bn_r{s}{j}" for s in "mv" for j in range(1, n)}
+
+        # An in-place update through params() shows in the lists and state_dict().
+        values = {k: float(i + 2) for i, k in enumerate(model.params())}
+        assert set(values) | set(running) == set(shapes)
+        for k, v in model.params().items():
+            v[...] = values[k]
+        for j in range(1, n + 1):
+            assert np.all(model.weights[j - 1] == values[f"w{j}"])
+        assert np.all(model.out_bias == values[f"b{n}"])
+        for j in range(1, n):
+            assert np.all(model.bn_gamma[j - 1] == values[f"bn_g{j}"])
+            assert np.all(model.bn_beta[j - 1] == values[f"bn_b{j}"])
+            assert np.array_equal(model.bn_mean[j - 1], running[f"bn_rm{j}"])
+            assert np.array_equal(model.bn_var[j - 1], running[f"bn_rv{j}"])
+        state = model.state_dict()
+        for k, x in values.items():
+            assert np.all(state[k] == x), k
+
+        p = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        save_checkpoint(model, p)
+        back = load_checkpoint(p).state_dict()
+        assert list(back) == list(shapes)
+        for k, v in state.items():
+            assert back[k].dtype == v.dtype and back[k].tobytes() == v.tobytes(), k
 
 
 class TestForward:

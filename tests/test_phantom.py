@@ -237,6 +237,9 @@ def test_config_validation():
         PhantomConfig(time_end=20.0, time_start=21.0)
     with pytest.raises(ValueError):
         PhantomConfig(structural_jitter_sigma=-1.0)
+    for dims in ((32, 32), (), (0, 32, 32), (32, 32, 32, 1), (32.0, 32, 32)):
+        with pytest.raises(ValueError, match=r"dims must be three positive integers, got \("):
+            PhantomConfig(dims=dims)
 
 
 def test_default_config_generates():

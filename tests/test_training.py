@@ -154,6 +154,19 @@ class TestSampleBatch:
         with pytest.raises(ValueError, match="no time points"):
             _Sampler(self._tiny()).draw([], 4, np.random.default_rng(0))
 
+    def test_draw_coords_times_come_from_given_values(self):
+        sampler = _Sampler(self._tiny())
+        pts = sampler.draw_coords([-0.25, 0.5], 200, np.random.default_rng(5))
+        assert pts.shape == (200, 4)
+        assert set(pts[:, 3].tolist()) == {-0.25, 0.5}
+        # Both draws take the voxels first, so one seed gives one voxel sequence.
+        drawn, _ = sampler.draw([0, 3], 200, np.random.default_rng(5))
+        assert np.array_equal(pts[:, :3], drawn[:, :3])
+
+    def test_draw_coords_empty_times_rejected(self):
+        with pytest.raises(ValueError, match="no time points"):
+            _Sampler(self._tiny()).draw_coords([], 4, np.random.default_rng(0))
+
 
 def _tiny_cfg(**kw):
     base = dict(batch_size=256, pretrain_epochs=150, refine_max_epochs=40,
