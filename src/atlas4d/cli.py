@@ -51,12 +51,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _split_items(s: str) -> list[str]:
+    """The comma-separated items of s; an empty s has none, an empty item fails."""
+    items = [p.strip() for p in s.split(",")] if s else []
+    if "" in items:
+        raise ValueError(f"empty item in {s!r}")
+    return items
+
+
 def _parse_int_tuple(s: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in s.split(",") if p.strip())
+    return tuple(int(p) for p in _split_items(s))
 
 
 def _parse_float_list(s: str) -> list[float]:
-    return [float(p) for p in s.split(",") if p.strip()]
+    return [float(p) for p in _split_items(s)]
 
 
 # Defaults come from the objects that own them, so each is defined once.

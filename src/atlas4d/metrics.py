@@ -124,11 +124,11 @@ def dice(a: LabelVolume, b: LabelVolume, class_id: int) -> float:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
     in_a = a.data == class_id
     in_b = b.data == class_id
-    na = int(in_a.sum())
-    nb = int(in_b.sum())
+    na = int(np.count_nonzero(in_a))
+    nb = int(np.count_nonzero(in_b))
     if na + nb == 0:
         return 100.0
-    inter = int(np.logical_and(in_a, in_b).sum())
+    inter = int(np.count_nonzero(np.logical_and(in_a, in_b, out=in_a)))
     return 100.0 * 2.0 * inter / (na + nb)
 
 

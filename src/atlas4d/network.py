@@ -22,7 +22,12 @@ layer outputs relu(gamma * xhat + beta) are not kept: they would double
 that, and backward rebuilds each one exactly from xhat when it reaches the
 layer, into a buffer reused from layer to layer (recompute instead of
 store, Chen et al. 2016). The closed-form batch-norm backward saves more
-elementwise passes than the rebuild costs.
+elementwise passes than the rebuild costs. Backward consumes the cache:
+it writes the gradient of each layer's pre-activation into that layer's
+xhat, its last use, and lets go of the one above, so the cache shrinks by one
+activation per layer as backward walks down, and the cache cannot be
+used twice. Forward drops the skip-concat buffer once no later layer
+reads it.
 
 Eval-mode forward is a pure function of (parameters, input): with running
 statistics, batch norm is a fixed affine map, so each hidden layer is
@@ -109,7 +114,9 @@ class ForwardCache:
 
     Only the input and each hidden layer's normalized pre-activation and
     inverse standard deviation are kept; backward rebuilds every layer's
-    output from xhat with InrModel._layer_output.
+    output from xhat with InrModel._layer_output. The cache is single-use:
+    backward takes the xhat list (leaving `xhat` None), overwrites each
+    array with a gradient and frees it, and keeps `x` and `inv_std`.
     """
 
     model_id: int
@@ -210,6 +217,8 @@ class InrModel:
 
         for j in range(1, cfg.n_layers):
             xhat = a @ self.weights[j - 1].T
+            if cfg.skip_layers and j == cfg.skip_layers[-1] + 1:
+                del bufs[True]  # no later layer reads the skip-concat buffer
             mu = xhat.mean(axis=0)
             xhat -= mu
             var = np.einsum("ij,ij->j", xhat, xhat) / batch
@@ -312,7 +321,10 @@ class InrModel:
         """Gradients of a scalar loss given dLoss/dOutput for the batch.
 
         Uses the exact batch-statistics batch-norm backward pass; the cache
-        must come from the most recent parameter version of this model.
+        must come from the most recent parameter version of this model, and
+        it is spent afterwards: each layer's xhat is overwritten with the
+        gradient of its pre-activation and freed once the layer below has
+        used it. `cache.x` is left as it was.
         """
         if self.mode != "train":
             raise ValueError("backward on an eval-mode model is not defined")
@@ -320,6 +332,9 @@ class InrModel:
             raise ValueError("mismatched cache: not from this model")
         if cache.version != self._version:
             raise ValueError("stale cache: parameters changed since forward")
+        xhats, cache.xhat = cache.xhat, None
+        if xhats is None:
+            raise ValueError("spent cache: backward already consumed it")
 
         cfg = self.cfg
         n = cfg.n_layers
@@ -330,20 +345,23 @@ class InrModel:
 
         dz = np.asarray(d_out, dtype=np.float64)[:, None]
         grads[f"b{n}"] = dz.sum(axis=0)
+        dh = np.empty((batch, width))
         for j in range(n - 1, 0, -1):
             # a is layer j's output, the input of layer j + 1; its gradient is
             # that of layer j + 1's leading hidden_width input columns (past
             # them sit the raw-input skip slots). ReLU passes it where a > 0.
-            xhat = cache.xhat[j - 1]
+            xhat = xhats.pop()
             a = self._layer_output(j, xhat, cache.x, bufs)
             grads[f"w{j + 1}"] = dz.T @ a
-            dh = dz @ self.weights[j][:, :width]
+            np.matmul(dz, self.weights[j][:, :width], out=dh)
             dh *= a[:, :width] > 0.0
             # Batch norm backward in closed form, reusing the beta and gamma
             # gradients: dz = gamma*inv * (dh - sum(dh)/B - xhat*sum(dh*xhat)/B)
             g_gamma = grads[f"bn_g{j}"] = np.einsum("ij,ij->j", dh, xhat)
             g_beta = grads[f"bn_b{j}"] = dh.sum(axis=0)
-            dz = xhat * (g_gamma / -batch)
+            # this is xhat's last use, so dz takes its place; rebinding dz
+            # frees the layer above's
+            dz = np.multiply(xhat, g_gamma / -batch, out=xhat)
             dz += dh
             dz -= g_beta / batch
             dz *= self.bn_gamma[j - 1] * cache.inv_std[j - 1]

@@ -129,6 +129,31 @@ class TestConfigParsing:
         assert f"error: dims must be three positive integers, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("item", [
+        "mlp.skip_layers=3,,4", "phantom.dims=32,,32,32", "infer.times=21,,22",
+        "infer.times=21,22,",
+    ], ids=["skip-layers", "dims", "times", "trailing-comma"])
+    def test_empty_list_item_rejected(self, tmp_path, capsys, item):
+        key, text = item.split("=")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("run_dir = out\n")
+        message = f"bad value for {key}: empty item in {text!r}"
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg, overrides=[item])
+        assert str(info.value) == message
+        assert _run("phantom", "--config", str(cfg), "--set", item) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_list_value_keeps_its_meaning(self, tmp_path):
+        # An empty infer.times means the training times, an empty
+        # mlp.skip_layers means no skips.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("run_dir = out\ninfer.times =\nmlp.skip_layers =\n")
+        values = load_config(cfg)
+        assert values["infer.times"] == []
+        assert values["mlp.skip_layers"] == ()
+
     def test_repeated_skip_layer_rejected(self, tmp_path, capsys):
         # A repeat would make space_terms form the next layer's terms twice.
         cfg = _write_config(tmp_path)

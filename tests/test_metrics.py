@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atlas4d.metrics import (
@@ -197,6 +197,25 @@ class TestDice:
             scores.append(dice(_labels(a), _labels(b), 1))
         assert scores == sorted(scores)
         assert scores[0] == 0.0 and scores[-1] == 100.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 4),
+           class_id=st.integers(0, 5))
+    @example(seed=0, n_classes=2, class_id=3)
+    def test_equals_sum_formula(self, seed, n_classes, class_id):
+        # The counting formula of the first implementation, kept as an oracle;
+        # a class in neither map scores 100.
+        rng = np.random.default_rng(seed)
+        a, b = (rng.integers(0, n_classes, (5, 4, 3)) for _ in range(2))
+        in_a, in_b = a == class_id, b == class_id
+        na, nb = int(in_a.sum()), int(in_b.sum())
+        if na + nb == 0:
+            expected = 100.0
+        else:
+            expected = 100.0 * 2.0 * int(np.logical_and(in_a, in_b).sum()) / (na + nb)
+        assert dice(_labels(a), _labels(b), class_id) == expected
+        if class_id >= n_classes:
+            assert expected == 100.0
 
 
 def _brute_force_tc(labels, m, class_id):

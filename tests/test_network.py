@@ -527,6 +527,23 @@ class TestBackward:
         with pytest.raises(ValueError, match="mismatched cache"):
             model.backward(None, np.zeros(4))
 
+    def test_spent_cache_rejected(self):
+        model = self._small()
+        _, cache = model.forward(np.random.default_rng(4).normal(size=(4, 6)))
+        model.backward(cache, np.ones(4))
+        with pytest.raises(ValueError, match="spent cache"):
+            model.backward(cache, np.ones(4))
+
+    def test_cache_input_unchanged(self):
+        # backward overwrites the cached xhat arrays but must not touch x
+        model = self._small()
+        x = np.random.default_rng(6).normal(size=(4, 6))
+        x_before = x.copy()
+        _, cache = model.forward(x)
+        model.backward(cache, np.ones(4))
+        assert cache.x is x
+        assert np.array_equal(x, x_before)
+
 
 class TestCheckpoint:
     def _model(self):

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +186,28 @@ def _tiny_model(series, seed):
                       skip_layers=(2,), seed=seed)
 
 
+def _arithmetic_fingerprint() -> str:
+    """sha256 of numpy and BLAS results at the shapes of a width-48 step.
+
+    A digest of trained arrays holds the rounding of the BLAS gemm kernels
+    and of numpy's SIMD loops (cos, sin, reductions), which differ between
+    BLAS builds and CPUs. This fingerprint tells whether the arithmetic here
+    rounds like the machine a training digest was pinned on.
+    """
+    rng = np.random.default_rng(0)
+    x, w, h = rng.normal(size=(512, 104)), rng.normal(size=(48, 152)), rng.normal(size=(512, 48))
+    results = [x @ w[:, 48:].T, h.T @ x, h @ w[:, :48], np.einsum("ij,ij->j", h, h),
+               h.mean(axis=0), h.sum(axis=0), np.cos(x), np.sin(x)]
+    digest = hashlib.sha256()
+    for r in results:
+        digest.update(r.tobytes())
+    return digest.hexdigest()
+
+
+# recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (DYNAMIC_ARCH) on a 2-core x86-64 VM
+_PINNED_FINGERPRINT = "d26ae162713fb52699d62660682acc44eeee0a489e7c9e193df4edd3d7415eba"
+
+
 class TestPretrain:
     def test_defaults_match_contract(self):
         cfg = TrainConfig()
@@ -238,6 +263,25 @@ class TestPretrain:
         model.weights[0][0, 0] = np.nan
         with pytest.raises(DivergenceError, match="divergence"):
             pretrain(series, [0, 1], cfg, model)
+
+    def test_next_epoch_holds_at_most_one_batch_input_more(self):
+        # backward consumes its cache, so all an epoch leaves for the next
+        # epoch's forward is the encoded input of its batch: a 2-epoch run
+        # peaks at most that much above a 1-epoch run.
+        series = _constant_series()
+        batch = 4096
+        peaks = []
+        for epochs in (1, 2):
+            model = make_model(series, l_space=40, l_time=12, hidden_width=64,
+                               n_layers=8, skip_layers=(3,), seed=1)
+            cfg = _tiny_cfg(batch_size=batch, pretrain_epochs=epochs)
+            tracemalloc.start()
+            try:
+                pretrain(series, [0, 1, 2, 3], cfg, model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= batch * model.cfg.input_dim * 8
 
 
 class TestRefine:
@@ -316,6 +360,34 @@ class TestRefine:
         stopped_early = len(hist.l_total) < max_epochs
         assert stopped_early == (patience < max_epochs)
         assert len(calls) == 4 * (len(hist.l_total) - 1)
+
+    def short_run_digest(self) -> str:
+        """sha256 of the losses and final arrays of a short pretrain + refine
+        at the acceptance architecture (l_space 40, l_time 12, width 48)."""
+        _, series, split = self._noisy_setup()
+        cfg = _tiny_cfg(batch_size=512, pretrain_epochs=3, refine_max_epochs=3, patience=3)
+        digest = hashlib.sha256()
+        models = []
+        for stream, half in enumerate((split.set1, split.set2)):
+            model = make_model(series, seed=stream + 1, l_space=40, l_time=12, hidden_width=48)
+            model, losses = pretrain(series, half, cfg, model, stream=stream)
+            digest.update(np.array(losses).tobytes())
+            models.append(model)
+        m1, m2, hist = refine(*models, series, split, cfg)
+        digest.update(np.array([hist.l1, hist.l2, hist.l_cross, hist.l_total]).tobytes())
+        for model in (m1, m2):
+            state = model.state_dict()
+            for name in sorted(state):
+                digest.update(name.encode())
+                digest.update(state[name].tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.skipif(_arithmetic_fingerprint() != _PINNED_FINGERPRINT,
+                        reason="numpy/BLAS here round unlike where the digest was pinned")
+    def test_short_run_digest_pinned(self):
+        # Buffer reuse in forward and backward must not move a bit of training.
+        assert self.short_run_digest() == (
+            "2f28d96b60d220f1b3408c4611f54976ea2575829c61e66cab120065fb7ad714")
 
     def test_empty_midpoints_rejected(self):
         _, series, split = self._noisy_setup()
