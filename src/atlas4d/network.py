@@ -185,9 +185,6 @@ class InrModel:
             np.copyto(v, snap[k])
         self.mark_updated()
 
-    def num_params(self) -> int:
-        return sum(int(p.size) for p in self.params().values())
-
     # -- forward / backward ------------------------------------------------
 
     def forward(self, features: np.ndarray):

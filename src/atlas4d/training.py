@@ -15,7 +15,6 @@ reproducible.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,10 +172,19 @@ def _mse(pred: np.ndarray, target: np.ndarray, weight: float = 1.0):
     return float(np.mean(err * err)), weight * 2.0 * err / err.size
 
 
-def _update(model: InrModel, params, adam: AdamState, lr: float, *terms) -> None:
-    """One Adam step on the summed gradients of (cache, d_out) loss terms."""
-    grads = [model.backward(cache, d_out) for cache, d_out in terms]
-    adam_step(params, functools.reduce(sum_grads, grads), adam, lr)
+def _step(model: InrModel, sampler: _Sampler, time_indices, n: int,
+          rng: np.random.Generator, weight: float = 1.0, *, backward: bool = True):
+    """(MSE, gradients of weight * MSE or None) of a model on one fresh
+    batch drawn from the given times; the forward cache dies on return."""
+    points, target = sampler.draw(time_indices, n, rng)
+    pred, cache = _run(model, points)
+    loss, d_out = _mse(pred, target, weight)
+    return loss, (model.backward(cache, d_out) if backward else None)
+
+
+def _update(model: InrModel, params, adam: AdamState, lr: float, grads) -> None:
+    """One Adam step on a gradient dict."""
+    adam_step(params, grads, adam, lr)
     model.mark_updated()
 
 
@@ -194,12 +202,10 @@ def pretrain(series: Volume4D, time_indices, cfg: TrainConfig,
     losses: list[float] = []
     for epoch in range(cfg.pretrain_epochs):
         rng = _epoch_rng(cfg.seed_sampling, stream, epoch)
-        points, target = sampler.draw(time_indices, cfg.batch_size, rng)
-        pred, cache = _run(model, points)
-        loss, d_out = _mse(pred, target)
+        loss, grads = _step(model, sampler, time_indices, cfg.batch_size, rng)
         if not np.isfinite(loss):
             raise DivergenceError(f"divergence: non-finite loss at epoch {epoch}")
-        _update(model, params, adam, lr_at(cfg.pretrain_schedule, epoch), (cache, d_out))
+        _update(model, params, adam, lr_at(cfg.pretrain_schedule, epoch), grads)
         losses.append(loss)
     return model, losses
 
@@ -214,6 +220,14 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
     returned models carry the state of the best recorded combined loss, and
     the loop stops early when that loss has not improved for `patience`
     epochs.
+
+    Per epoch, each model runs its fidelity forward and backward in turn,
+    keeping only the gradients; then both models run their cross forward,
+    and each update sums its fidelity and cross gradients. So at most the
+    two cross caches are alive at once. The epoch at the end of the
+    `refine_max_epochs` budget is never followed by an update (the best
+    snapshot would discard it), so it skips both fidelity backwards; an
+    epoch that ends on patience has spent them.
     """
     if split.midpoints.size == 0:
         raise ValueError("empty midpoint set")
@@ -229,21 +243,17 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
     best_total = np.inf  # epoch 0 always improves on it, so sets best_state
 
     for epoch in range(cfg.refine_max_epochs):
+        last = epoch == cfg.refine_max_epochs - 1
         rng1 = _epoch_rng(cfg.seed_sampling, 101, epoch)
         rng2 = _epoch_rng(cfg.seed_sampling, 102, epoch)
         rngc = _epoch_rng(cfg.seed_sampling, 103, epoch)
 
-        pts1, tgt1 = sampler.draw(split.set1, cfg.batch_size, rng1)
-        pred1, cache1 = _run(m1, pts1)
-        l1, d1 = _mse(pred1, tgt1, lam)
-
-        pts2, tgt2 = sampler.draw(split.set2, cfg.batch_size, rng2)
-        pred2, cache2 = _run(m2, pts2)
-        l2, d2 = _mse(pred2, tgt2, lam)
+        l1, g1 = _step(m1, sampler, split.set1, cfg.batch_size, rng1, lam, backward=not last)
+        l2, g2 = _step(m2, sampler, split.set2, cfg.batch_size, rng2, lam, backward=not last)
 
         ptsc = sampler.draw_coords(mid_norm, cfg.batch_size, rngc)
-        pc1, cache1c = _run(m1, ptsc)
-        pc2, cache2c = _run(m2, ptsc)
+        pc1, cache1 = _run(m1, ptsc)
+        pc2, cache2 = _run(m2, ptsc)
         l_cross, d_cross = _mse(pc1, pc2)
 
         l_total = lam * l1 + lam * l2 + l_cross
@@ -260,12 +270,12 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
             best_state = (m1.snapshot(), m2.snapshot())
         elif epoch - hist.best_epoch >= cfg.patience:
             break
-        if epoch == cfg.refine_max_epochs - 1:
+        if last:
             break  # load_snapshot below would discard this epoch's update
 
         lr = lr_at(cfg.refine_schedule, epoch)
-        _update(m1, params1, adam1, lr, (cache1, d1), (cache1c, d_cross))
-        _update(m2, params2, adam2, lr, (cache2, d2), (cache2c, -d_cross))
+        _update(m1, params1, adam1, lr, sum_grads(g1, m1.backward(cache1, d_cross)))
+        _update(m2, params2, adam2, lr, sum_grads(g2, m2.backward(cache2, -d_cross)))
 
     m1.load_snapshot(best_state[0])
     m2.load_snapshot(best_state[1])

@@ -161,7 +161,7 @@ class TestInit:
             total += out * fan_in                # weight
         total += 1                               # output bias
         total += 17 * 2 * w                      # bn scale + shift
-        assert model.num_params() == total
+        assert sum(p.size for p in model.params().values()) == total
 
 
 @st.composite

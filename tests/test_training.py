@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atlas4d import training
 from atlas4d.network import InrModel
-from atlas4d.optimizer import DivergenceError, LrSchedule
+from atlas4d.optimizer import DivergenceError, LrSchedule, adam_step
 from atlas4d.phantom import PhantomConfig, generate
 from atlas4d.training import (
     TrainConfig,
@@ -344,22 +345,76 @@ class TestRefine:
     @pytest.mark.parametrize("max_epochs, patience", [(6, 10), (200, 1)])
     def test_no_update_after_last_recorded_epoch(self, monkeypatch, max_epochs, patience):
         # An update after the last recorded epoch would be overwritten by the
-        # best snapshot, so refine runs 4 backward passes per epoch but the last.
+        # best snapshot, so refine steps each model once per epoch but the
+        # last. Each updated epoch runs 4 backward passes; the budget's last
+        # epoch runs none, and an epoch that stops on patience has already
+        # run both fidelity backwards.
         _, series, split = self._noisy_setup()
         cfg = _tiny_cfg(refine_max_epochs=max_epochs, patience=patience)
         m1, m2 = _tiny_model(series, 1), _tiny_model(series, 2)
-        calls = []
+        backwards, steps = [], []
         backward = InrModel.backward
 
         def counting(self, *args, **kwargs):
-            calls.append(1)
+            backwards.append(1)
             return backward(self, *args, **kwargs)
 
+        def counting_step(*args, **kwargs):
+            steps.append(1)
+            return adam_step(*args, **kwargs)
+
         monkeypatch.setattr(InrModel, "backward", counting)
+        monkeypatch.setattr(training, "adam_step", counting_step)
         _, _, hist = refine(m1, m2, series, split, cfg)
-        stopped_early = len(hist.l_total) < max_epochs
+        n = len(hist.l_total)
+        stopped_early = n < max_epochs
         assert stopped_early == (patience < max_epochs)
-        assert len(calls) == 4 * (len(hist.l_total) - 1)
+        assert len(steps) == 2 * (n - 1)
+        assert len(backwards) == 4 * (n - 1) + (2 if stopped_early else 0)
+
+    def test_divergence_updates_nothing(self, monkeypatch):
+        # The fidelity backwards run before the non-finite check, so the
+        # check must still come before any parameter update.
+        _, series, split = self._noisy_setup()
+        cfg = _tiny_cfg(refine_max_epochs=5)
+        m1, m2 = _tiny_model(series, 1), _tiny_model(series, 2)
+        m1.weights[0][0, 0] = np.nan
+        before = [{k: v.tobytes() for k, v in m.params().items()} for m in (m1, m2)]
+        steps = []
+        monkeypatch.setattr(training, "adam_step", lambda *a, **kw: steps.append(1))
+        with pytest.raises(DivergenceError, match="refine epoch 0"):
+            refine(m1, m2, series, split, cfg)
+        assert steps == []
+        # running statistics move with every train-mode forward; parameters must not
+        after = [{k: v.tobytes() for k, v in m.params().items()} for m in (m1, m2)]
+        assert after == before
+
+    def test_holds_at_most_one_cache_more_than_pretrain(self):
+        # Each fidelity cache is spent before the cross forwards, so a refine
+        # epoch holds the two cross caches at once: one train cache more than
+        # a pretrain step, plus parameter-sized arrays (the second model's
+        # Adam moments, both snapshots, the kept and summed gradients).
+        series = _constant_series()
+        split = split_timepoints(series.times)
+        batch = 4096
+        arch = dict(l_space=40, l_time=12, hidden_width=64, n_layers=8, skip_layers=(3,))
+        cfg = _tiny_cfg(batch_size=batch, pretrain_epochs=1, refine_max_epochs=2, patience=5)
+        m1, m2 = make_model(series, seed=1, **arch), make_model(series, seed=2, **arch)
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pretrain_peak = traced_peak(lambda: pretrain(series, split.set1, cfg, m1))
+        refine_peak = traced_peak(lambda: refine(m1, m2, series, split, cfg))
+        mc = m1.cfg
+        one_cache = batch * mc.hidden_width * (mc.n_layers - 1) * 8 + batch * mc.input_dim * 8
+        param_bytes = sum(p.nbytes for p in m1.params().values())
+        assert refine_peak - pretrain_peak <= one_cache + 12 * param_bytes
 
     def short_run_digest(self) -> str:
         """sha256 of the losses and final arrays of a short pretrain + refine
