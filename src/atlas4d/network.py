@@ -35,17 +35,25 @@ folded into one Linear -> ReLU with
     scale = gamma / sqrt(running_var + eps)
     W' = W * scale[:, None]
     b' = beta - running_mean * scale
-The fold is recomputed from the live arrays on every call (a few small
-vector ops per layer), so in-place parameter updates are always seen.
-Eval mode concatenates nothing: it splits the input into its leading
-2 * l_space spatial columns and the trailing time columns, and a layer
-that reads the raw input (layer 1, and each layer after a skip) sums
-x_time @ W_time'.T + h @ W_h'.T + x_space @ W_space'.T + b'. `space_terms`
-forms the x_space products, which do not depend on time, so `reconstruct`
-forms them once per chunk for all times; `eval_forward` is the one
-eval-mode layer loop. Its products go through `encoding.row_matmul`, so a
-row's output does not depend on how many rows share a call. A model
-without an encoder treats all input columns as spatial. ReLU runs in place.
+`fold` forms every layer's [W'.T ; b'] from the live arrays, so in-place
+parameter updates are seen by the next fold; a caller folds once and
+passes the result to every product of that call. Each layer writes its
+output into one of two row-major buffers of shape (rows, hidden_width + 1)
+(`eval_buffers`) whose last column is the constant 1, so a layer that
+reads only the hidden state is one product [h | 1] @ [W'.T ; b'], written
+straight into the other buffer, and one in-place ReLU over that whole
+buffer, which leaves the ones column at 1. Eval mode concatenates nothing:
+it splits the input into its leading 2 * l_space spatial columns and the
+trailing time columns. A layer that reads the raw input (layer 1, and each
+layer after a skip) sums h @ W_h'.T + c + x_space @ W_space'.T, where the
+time term c = x_time @ W_time'.T + b' (`time_terms`) may be one row shared
+by every point at one time, and the spatial terms (`space_terms`) do not
+depend on time; layer 1 has no hidden product. So `reconstruct` forms the
+spatial terms once per chunk for all times and the time terms once per
+time for all chunks; `eval_forward` is the one eval-mode layer loop. Its
+products go through `encoding.row_matmul`, so a row's output does not
+depend on how many rows share a call. A model without an encoder treats
+all input columns as spatial.
 """
 
 from __future__ import annotations
@@ -67,8 +75,8 @@ class CheckpointError(RuntimeError):
     """Checkpoint file is unreadable or malformed; the message names the file.
 
     Raised for a bad magic, version, checksum or size, undecodable metadata,
-    an unknown array dtype, and arrays missing or shaped unlike the stored
-    architecture.
+    an array dtype other than float64, and arrays missing, shaped unlike the
+    stored architecture or not part of it.
     """
 
 
@@ -200,7 +208,10 @@ class InrModel:
             )
         if self.mode != "train":
             k = self.cfg.input_dim if self.encoder is None else 2 * self.encoder.l_space
-            return self.eval_forward(self.space_terms(x[:, :k]), x[:, k:]), None
+            folded = self.fold()
+            return self.eval_forward(
+                folded, self.space_terms(folded, x[:, :k]), self.time_terms(folded, x[:, k:]),
+                eval_buffers(x.shape[0], self.cfg.hidden_width)), None
         if x.shape[0] < 2:
             raise ValueError("train-mode forward needs a batch of at least 2")
 
@@ -259,60 +270,89 @@ class InrModel:
         np.maximum(h, 0.0, out=h)
         return out
 
-    def _folded(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode (W'.T, b') of layer j, batch norm folded in.
+    def fold(self) -> list[np.ndarray]:
+        """Eval-mode [W'.T ; b'] of every layer, batch norm folded in.
 
-        W'.T is C-contiguous, and so is each row block the split products
-        take: the layout encoding.row_matmul relies on.
+        Layer j's entry has shape (in_width(j) + 1, out_width(j)): the
+        folded weight's transpose with the folded bias as its last row.
+        Each is C-contiguous, and so is each row block the products take:
+        the layout encoding.row_matmul relies on.
         """
-        if j == self.cfg.n_layers:
-            return self.weights[-1].T, self.out_bias
-        scale = self.bn_gamma[j - 1] / np.sqrt(self.bn_var[j - 1] + self.cfg.bn_epsilon)
-        return (np.multiply(self.weights[j - 1].T, scale, order="C"),
-                self.bn_beta[j - 1] - self.bn_mean[j - 1] * scale)
+        cfg = self.cfg
+        folded = []
+        for j, w in enumerate(self.weights, start=1):
+            wb = np.empty((w.shape[1] + 1, w.shape[0]))
+            if j == cfg.n_layers:
+                wb[:-1] = w.T
+                wb[-1] = self.out_bias
+            else:
+                scale = self.bn_gamma[j - 1] / np.sqrt(self.bn_var[j - 1] + cfg.bn_epsilon)
+                np.multiply(w.T, scale, out=wb[:-1])
+                wb[-1] = self.bn_beta[j - 1] - self.bn_mean[j - 1] * scale
+            folded.append(wb)
+        return folded
 
-    def space_terms(self, x_space: np.ndarray) -> dict[int, np.ndarray]:
-        """Eval-mode products of the leading input columns, by layer.
+    def _input_layers(self):
+        """(j, lo) of each layer j that reads the raw input, which fills its
+        input columns from lo on: layer 1 and each layer after a skip."""
+        for j in (1, *(s + 1 for s in self.cfg.skip_layers)):
+            yield j, self.cfg.in_width(j) - self.cfg.input_dim
 
-        For layer 1 and each layer after a skip (the layers that read the raw
-        input), the product of x_space, the input's leading columns, with
-        those columns of the folded weight. Rows that differ only in the
-        trailing columns share these terms; see eval_forward.
+    def space_terms(self, folded: list[np.ndarray], x_space: np.ndarray) -> dict[int, np.ndarray]:
+        """x_space @ W_space'.T of each layer that reads the raw input.
+
+        x_space is the input's leading columns and `folded` comes from
+        fold(). Rows that differ only in the trailing (time) columns share
+        these terms; see eval_forward.
+        """
+        k = x_space.shape[1]
+        return {j: row_matmul(x_space, folded[j - 1][lo:lo + k])
+                for j, lo in self._input_layers()}
+
+    def time_terms(self, folded: list[np.ndarray], x_time: np.ndarray) -> dict[int, np.ndarray]:
+        """x_time @ W_time'.T + b' of each layer that reads the raw input.
+
+        x_time is the input's trailing columns: one row per point, or one
+        row that eval_forward broadcasts to every point at that time.
+        row_matmul gives a row the same bits either way.
         """
         terms = {}
-        for j in (1, *(s + 1 for s in self.cfg.skip_layers)):
-            wt, _ = self._folded(j)
-            lo = wt.shape[0] - self.cfg.input_dim
-            terms[j] = row_matmul(x_space, wt[lo:lo + x_space.shape[1]])
+        for j, _ in self._input_layers():
+            wb = folded[j - 1]
+            c = terms[j] = row_matmul(x_time, wb[wb.shape[0] - 1 - x_time.shape[1]:-1])
+            c += wb[-1]
         return terms
 
-    def eval_forward(self, terms: dict[int, np.ndarray], x_rest: np.ndarray) -> np.ndarray:
-        """Eval-mode output from space_terms(x[:, :k]) and x_rest = x[:, k:].
+    def eval_forward(self, folded: list[np.ndarray], space: dict[int, np.ndarray],
+                     time: dict[int, np.ndarray], bufs: np.ndarray) -> np.ndarray:
+        """Eval-mode output from fold(), space_terms and time_terms.
 
-        The pre-activation of a layer that reads the raw input is
-        x_rest @ W_rest.T (+ h @ W_h.T) + terms[j] + b, summed in that
-        order; `terms` is only read. Every eval-mode prediction runs this
-        loop, so a row's output does not depend on how rows were grouped
-        into calls or on which calls shared their terms, as far as its
-        products do not (encoding.row_matmul).
+        `bufs` is a pair from eval_buffers with at least as many rows as the
+        space terms; its leading rows hold the hidden states, and the terms
+        are only read. The pre-activation of a layer that reads the raw
+        input is h @ W_h'.T + c + x_space @ W_space'.T, summed in that order,
+        or x_space @ W_space'.T + c at layer 1. Every eval-mode prediction
+        runs this loop, so a row's output does not depend on how rows were
+        grouped into calls or on which calls shared their terms, as far as
+        its products do not (encoding.row_matmul).
         """
-        n_layers = self.cfg.n_layers
-        a = None
-        for j in range(1, n_layers + 1):
-            wt, b = self._folded(j)
-            if j in terms:
-                lo = wt.shape[0] - self.cfg.input_dim
-                h = row_matmul(x_rest, wt[wt.shape[0] - x_rest.shape[1]:])
-                if lo:
-                    h += row_matmul(a, wt[:lo])
-                h += terms[j]
+        width = self.cfg.hidden_width
+        rows = space[1].shape[0]
+        src, dst = (b[:rows] for b in bufs)
+        for j, wb in enumerate(folded, start=1):
+            out = dst[:, :width] if j < len(folded) else None
+            if j == 1:
+                out = np.add(space[1], time[1], out=out)
+            elif j in space:
+                out = row_matmul(src[:, :width], wb[:width], out=out)
+                out += time[j]
+                out += space[j]
             else:
-                h = row_matmul(a, wt)
-            h += b
-            if j < n_layers:
-                np.maximum(h, 0.0, out=h)
-            a = h
-        return a.ravel()
+                out = row_matmul(src, wb, out=out)
+            if j == len(folded):
+                return out.ravel()
+            np.maximum(dst, 0.0, out=dst)
+            src, dst = dst, src
 
     def backward(self, cache: ForwardCache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given dLoss/dOutput for the batch.
@@ -366,6 +406,18 @@ class InrModel:
         return grads
 
 
+def eval_buffers(rows: int, width: int) -> np.ndarray:
+    """The two (rows, width + 1) hidden-state buffers of eval_forward.
+
+    Their last column is 1, which turns the folded bias into one more row
+    of each product; ReLU keeps it at 1. Models of the same hidden width
+    can share one pair, and any call with at most `rows` rows can use it.
+    """
+    bufs = np.empty((2, rows, width + 1))
+    bufs[:, :, width] = 1.0
+    return bufs
+
+
 def _expected_shapes(cfg: MlpConfig) -> dict[str, tuple[int, ...]]:
     """The model's array names and shapes, the one table of them.
 
@@ -412,7 +464,7 @@ def init_mlp(cfg: MlpConfig, seed: int = 0, encoder: FourierEncoder | None = Non
 
 _CKPT_MAGIC = b"A4DCKPT\x00"
 _CKPT_VERSION = 1
-_DTYPE_CODES = {0: "<f8", 1: "<f4", 2: "<i8", 3: "<u1"}
+_DTYPE_CODES = {0: "<f8"}
 _DTYPE_TO_CODE = {np.dtype(v): k for k, v in _DTYPE_CODES.items()}
 
 
@@ -529,11 +581,9 @@ def load_checkpoint(path) -> InrModel:
 
     Every parameter and running statistic must be a float64 array of the
     shape the stored architecture implies, and the encoder, when present,
-    must produce that architecture's input width; anything else raises
-    CheckpointError. Older checkpoints also carry hidden-layer biases
-    `b1..b{n-1}`; each is folded into its layer's running mean
-    (bn_rm_j -= b_j), which leaves eval outputs unchanged bit for bit. Other
-    extra arrays, such as the `opt.*` Adam moments, are ignored.
+    must produce that architecture's input width. The file holds those
+    arrays and the encoder's two matrices and nothing else; anything else
+    raises CheckpointError naming the array and the file.
     """
     path = Path(path)
     meta, arrays = _unpack_container(path.read_bytes(), path)
@@ -545,19 +595,22 @@ def load_checkpoint(path) -> InrModel:
         cfg = MlpConfig(**{f.name: meta["mlp"][f.name] for f in fields(MlpConfig)})
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint: bad mlp meta: {exc!r} ({path})") from exc
-    n = cfg.n_layers
-    hidden_biases = {f"b{j}": (cfg.hidden_width,) for j in range(1, n) if f"b{j}" in arrays}
-    for name, shape in (_expected_shapes(cfg) | hidden_biases).items():
+    shapes = _expected_shapes(cfg)
+    encoder_names = ("enc_b_space", "enc_b_time") if meta.get("encoder") is not None else ()
+    for name in arrays:
+        if name not in shapes and name not in encoder_names:
+            raise CheckpointError(
+                f"corrupt checkpoint: array '{name}' is not one of this model's ({path})")
+    for name, shape in shapes.items():
         if name not in arrays:
             raise CheckpointError(f"corrupt checkpoint: missing array '{name}' ({path})")
-        arr = arrays[name]
-        if arr.dtype != np.float64 or arr.shape != shape:
+        if arrays[name].shape != shape:
             raise CheckpointError(
-                f"corrupt checkpoint: array '{name}' is {arr.dtype} {arr.shape}, "
-                f"expected float64 {shape} ({path})"
+                f"corrupt checkpoint: array '{name}' is {arrays[name].shape}, "
+                f"expected {shape} ({path})"
             )
     encoder = None
-    if meta.get("encoder") is not None:
+    if encoder_names:
         try:
             encoder = FourierEncoder.from_matrices(
                 arrays["enc_b_space"], arrays["enc_b_time"], seed=meta["encoder"]["seed"]
@@ -569,8 +622,6 @@ def load_checkpoint(path) -> InrModel:
                 f"corrupt checkpoint: encoder width {encoder.out_dim} != "
                 f"input_dim {cfg.input_dim} ({path})"
             )
-    for name in hidden_biases:
-        arrays[f"bn_rm{name[1:]}"] -= arrays[name]
     model = InrModel(cfg, arrays, encoder)
     model.mode = meta.get("mode", "train")
     model.meta = meta.get("meta", {})

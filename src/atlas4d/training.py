@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import FourierEncoder
-from .network import InrModel, MlpConfig, init_mlp
+from .network import InrModel, MlpConfig, eval_buffers, init_mlp
 from .optimizer import AdamState, DivergenceError, LrSchedule, adam_step, lr_at, sum_grads
 from .volume_io import Volume3D, Volume4D, coord_grid, denormalize_intensity, normalize_times
 
@@ -311,20 +311,26 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     for temporal and spatial upsampling. Predictions are clipped to the
     normalized [0, 1] training range before optional denormalization.
 
-    The grid is walked in chunks of `chunk` voxels, one model at a time.
-    For each chunk a model encodes only the spatial block of the features
-    and computes its InrModel.space_terms once; for each time it then fills
-    a (chunk, 2 * l_time) block with that time's encoding and runs
+    The grid is walked in chunks of `chunk` voxels (a positive integer,
+    also checked before any work), one model at a time. Each model is
+    folded once per call (InrModel.fold) and forms its time terms once per
+    requested time, from that time's one encoded row. For each chunk a
+    model encodes only the spatial block of the features and forms its
+    InrModel.space_terms once; for each time it then runs
     InrModel.eval_forward, the loop behind every eval-mode prediction, so
     values equal average_predict's bit for bit wherever its products are
     row-independent (see encoding.row_matmul for the widths where OpenBLAS
-    breaks that at small chunks). Beyond the output volumes,
-    memory is bounded by one model's spatial terms, (1 + number of skip
-    layers) * chunk * hidden_width floats, and its per-chunk activations.
+    breaks that at small chunks). Beyond the output volumes, memory is
+    bounded by one model's spatial terms, (1 + number of skip layers) *
+    chunk * hidden_width floats, which are dropped before the next model's
+    are formed, plus one chunk's encoding and the two (chunk,
+    hidden_width + 1) eval buffers that both models share.
     """
     times = np.asarray(times, dtype=np.float64)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
+    if chunk < 1:
+        raise ValueError("chunk must be a positive integer")
     m1.eval()
     m2.eval()
     t_range = m1.meta.get("time_range")
@@ -335,23 +341,28 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     grid = coord_grid(dims)
     n = grid.shape[0]
     dims = tuple(int(d) for d in dims)
+    models = (m1, m2)
+    folded = [m.fold() for m in models]
 
-    # Time blocks of encoding (0, 0, 0, t): one row per requested time.
+    # Time terms from the encodings of (0, 0, 0, t): per model, one per time.
     t_points = np.zeros((times.size, 4))
     t_points[:, 3] = t_norm
     space_dim = 2 * m1.encoder.l_space
-    t_blocks = [m.encoder.encode(t_points)[:, space_dim:] for m in (m1, m2)]
+    time_terms = []
+    for m, f in zip(models, folded):
+        t_block = m.encoder.encode(t_points)[:, space_dim:]
+        time_terms.append([m.time_terms(f, t_block[k:k + 1]) for k in range(times.size)])
+    bufs = {w: eval_buffers(min(chunk, n), w) for w in {m.cfg.hidden_width for m in models}}
 
     # Each model adds its half: pred ends as average_predict's 0.5 * y1 + 0.5 * y2.
     pred = np.zeros((times.size, n))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        for m, t_block in zip((m1, m2), t_blocks):
-            terms = m.space_terms(m.encoder.encode_space(grid[lo:hi]))
-            x_time = np.empty((hi - lo, t_block.shape[1]))
-            for k in range(times.size):
-                x_time[:] = t_block[k]
-                pred[k, lo:hi] += 0.5 * m.eval_forward(terms, x_time)
+        for m, f, by_time in zip(models, folded, time_terms):
+            space = m.space_terms(f, m.encoder.encode_space(grid[lo:hi]))
+            for k, t_terms in enumerate(by_time):
+                pred[k, lo:hi] += 0.5 * m.eval_forward(f, space, t_terms, bufs[m.cfg.hidden_width])
+            del space  # before the next model forms its terms
 
     np.clip(pred, 0.0, 1.0, out=pred)
     volumes = []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from atlas4d.encoding import FourierEncoder
+from atlas4d.encoding import FourierEncoder, row_matmul
 
 
 def test_default_feature_length():
@@ -111,3 +111,18 @@ def test_batch_matches_single():
     batch = enc.encode(pts)
     for i in range(7):
         assert np.allclose(batch[i], enc.encode(pts[i]), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("rows, cols", [(7, 3), (1, 9), (7, 9)])  # einsum, doubled row, gemm
+def test_row_matmul_into_strided_out_matches_return(rows, cols):
+    # out= writes the leading columns of a wider buffer, as eval mode does.
+    rng = np.random.default_rng(5)
+    buf = rng.normal(size=(rows, 12))
+    a = buf[:, :10]
+    b = rng.normal(size=(10, cols))
+    want = row_matmul(a, b)
+    dst = np.full((rows, cols + 1), 7.0)
+    got = row_matmul(a, b, out=dst[:, :cols])
+    assert np.shares_memory(got, dst)
+    assert np.array_equal(dst[:, :cols], want)
+    assert np.all(dst[:, cols] == 7.0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atlas4d.encoding import FourierEncoder, row_matmul
+from atlas4d.encoding import FourierEncoder
 from atlas4d.network import (
     CheckpointError,
     MlpConfig,
@@ -628,57 +628,11 @@ class TestCheckpoint:
         assert "has_optimizer" not in meta
         assert not [k for k in arrays if k.startswith("opt.")]
 
-    def test_loads_checkpoint_with_optimizer_state(self, tmp_path):
-        # Older checkpoints also carried Adam moments; loading ignores them.
-        model = self._model()
-        model.forward(np.random.default_rng(1).normal(size=(16, model.cfg.input_dim)))
-        model.eval()
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(model, p)
-        meta, arrays = _unpack_container(p.read_bytes(), p)
-        rng = np.random.default_rng(3)
-        for k, v in model.params().items():
-            arrays[f"opt.m.{k}"] = rng.normal(size=v.shape)
-            arrays[f"opt.v.{k}"] = rng.uniform(size=v.shape)
-        arrays["opt.step"] = np.array([7], dtype=np.int64)
-        meta["has_optimizer"] = True
-        p.write_bytes(_pack_container(meta, arrays))
-        back = load_checkpoint(p)
-        x = np.random.default_rng(2).normal(size=(100, model.cfg.input_dim))
-        assert np.array_equal(back.forward(x)[0], model.forward(x)[0])
-        for k, v in model.state_dict().items():
-            assert np.array_equal(back.state_dict()[k], v), k
-
     def test_no_hidden_biases_saved(self, tmp_path):
         p = tmp_path / "m.ckpt"
         save_checkpoint(self._model(), p)
         _, arrays = _unpack_container(p.read_bytes(), p)
         assert [k for k in arrays if k[0] == "b" and k[1:].isdigit()] == ["b4"]
-
-    def test_hidden_biases_fold_into_running_means(self, tmp_path):
-        # Older checkpoints carry pre-batch-norm biases b1..b{n-1}. Eval then
-        # folded them as (b - running_mean) * scale + beta; loading must give
-        # that output bit for bit.
-        model = self._model()
-        model.forward(np.random.default_rng(1).normal(size=(16, model.cfg.input_dim)))
-        model.eval()
-        rng = np.random.default_rng(4)
-        n, w = model.cfg.n_layers, model.cfg.hidden_width
-        for j in range(n - 1):
-            model.bn_gamma[j][:] = rng.uniform(-2.0, 2.0, w)
-            model.bn_beta[j][:] = rng.normal(size=w)
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(model, p)
-        meta, arrays = _unpack_container(p.read_bytes(), p)
-        hidden = [rng.uniform(-0.5, 0.5, w) for _ in range(n - 1)]
-        for j, b in enumerate(hidden, start=1):
-            arrays[f"b{j}"] = b
-        p.write_bytes(_pack_container(meta, arrays))
-        back = load_checkpoint(p)
-        x = np.random.default_rng(2).normal(size=(100, model.cfg.input_dim))
-        assert np.array_equal(back.forward(x)[0], _biased_fold_eval(model, hidden, x))
-        for j, b in enumerate(hidden, start=1):
-            assert np.array_equal(back.bn_mean[j - 1], model.bn_mean[j - 1] - b)
 
     def test_snapshot_round_trip_preserves_param_identity(self):
         model = self._model()
@@ -691,38 +645,6 @@ class TestCheckpoint:
         for k in params_before:
             assert params_before[k] is params_after[k]
             assert np.array_equal(params_after[k], snap[k])
-
-
-def _biased_fold_eval(model, hidden_biases, x):
-    """Eval forward of a model with pre-batch-norm biases, folded as
-    b' = (b - running_mean) * scale + beta in the order earlier versions used.
-
-    The layers multiply by C-contiguous W.T and sum their terms as eval mode
-    does: a layer that reads the raw input adds x's time columns, the hidden
-    state, x's spatial columns, then the bias.
-    """
-    cfg = model.cfg
-    k = 2 * model.encoder.l_space
-    a = None
-    for j in range(1, cfg.n_layers + 1):
-        if j < cfg.n_layers:
-            scale = model.bn_gamma[j - 1] / np.sqrt(model.bn_var[j - 1] + cfg.bn_epsilon)
-            wt = np.ascontiguousarray((model.weights[j - 1] * scale[:, None]).T)
-            b = (hidden_biases[j - 1] - model.bn_mean[j - 1]) * scale
-            b += model.bn_beta[j - 1]
-        else:
-            wt, b = model.weights[-1].T, model.out_bias
-        if j == 1 or j - 1 in cfg.skip_layers:
-            lo = wt.shape[0] - cfg.input_dim
-            h = row_matmul(x[:, k:], wt[lo + k:])
-            if lo:
-                h += row_matmul(a, wt[:lo])
-            h += row_matmul(x[:, :k], wt[lo:lo + k])
-        else:
-            h = row_matmul(a, wt)
-        h += b
-        a = np.maximum(h, 0.0) if j < cfg.n_layers else h
-    return a.ravel()
 
 
 def _raw_checkpoint(meta_blob: bytes, entries) -> bytes:
@@ -802,10 +724,32 @@ class TestMalformedCheckpoint:
             load_checkpoint(p)
 
     def test_wrong_dtype(self, tmp_path):
+        # Code 1 once meant float32; the container now holds float64 alone.
+        meta, _ = self._parts(tmp_path)
+        blob = _raw_checkpoint(json.dumps(meta).encode(), [("bn_rv1", 1, (5,), bytes(20))])
+        p = self._write(tmp_path, blob)
+        with pytest.raises(CheckpointError,
+                           match=r"unknown dtype code 1 for array 'bn_rv1'.*bad\.ckpt"):
+            load_checkpoint(p)
+        with pytest.raises(ValueError, match="unsupported array dtype float32"):
+            _pack_container(meta, {"bn_rv1": np.ones(5, dtype=np.float32)})
+
+    @pytest.mark.parametrize("name", ["b1", "b3", "opt.m.w1", "opt.v.bn_g1"])
+    def test_array_outside_the_model_rejected(self, tmp_path, name):
+        # Hidden-layer biases and Adam moments, as older versions wrote them.
         meta, arrays = self._parts(tmp_path)
-        arrays["bn_rv1"] = arrays["bn_rv1"].astype(np.float32)
+        shape = arrays[name.rsplit(".", 1)[-1]].shape if "." in name else (5,)
+        arrays[name] = np.random.default_rng(0).normal(size=shape)
         p = self._write(tmp_path, _pack_container(meta, arrays))
-        with pytest.raises(CheckpointError, match=r"array 'bn_rv1' is float32.*bad\.ckpt"):
+        with pytest.raises(CheckpointError,
+                           match=rf"array '{name}' is not one of this model's.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_encoder_matrices_without_encoder_rejected(self, tmp_path):
+        meta, arrays = self._parts(tmp_path)
+        meta["encoder"] = None
+        p = self._write(tmp_path, _pack_container(meta, arrays))
+        with pytest.raises(CheckpointError, match=r"array 'enc_b_space' is not one.*bad\.ckpt"):
             load_checkpoint(p)
 
     def test_missing_array(self, tmp_path):

@@ -592,9 +592,57 @@ class TestReconstruct:
             want = np.clip(average_predict(*models, pts), 0.0, 1.0)
             assert np.array_equal(out.volumes[k].flat(), want), t
 
-    @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0]])
-    def test_unordered_times_rejected_before_any_work(self, monkeypatch, times):
-        series, m1, m2 = self._trained_pair()
+    @pytest.mark.parametrize("chunk", [1, 17, 300])
+    def test_equals_average_predict_bitwise_at_acceptance_width(self, chunk):
+        # Width 48 with the default 18 layers and skips: products of
+        # K = width + 1 into row-strided buffers, chunks of one row, a
+        # partial chunk and one chunk past the grid.
+        series = _constant_series()
+        rng = np.random.default_rng(7)
+        models = []
+        for seed in (1, 2):
+            m = make_model(series, l_space=40, l_time=12, hidden_width=48, seed=seed)
+            for j in range(m.cfg.n_layers - 1):
+                m.bn_gamma[j][:] = rng.uniform(0.5, 1.5, 48)
+                m.bn_beta[j][:] = rng.normal(scale=0.1, size=48)
+                m.bn_mean[j][:] = rng.normal(scale=0.1, size=48)
+                m.bn_var[j][:] = rng.uniform(0.5, 2.0, 48)
+            m.out_bias[:] = 0.5  # inside the [0, 1] clip
+            models.append(m)
+        dims, times = (7, 6, 5), [0.0, 1.5, 3.0]
+        out = reconstruct(*models, dims, series.spacing, times, chunk=chunk)
+        grid = coord_grid(dims)
+        for k, t in enumerate(times):
+            tn = normalize_times([t], series.time_range)[0]
+            want = average_predict(*models, np.column_stack([grid, np.full(grid.shape[0], tn)]))
+            assert np.all((want > 0.0) & (want < 1.0))
+            assert np.array_equal(out.volumes[k].flat(), want), t
+
+    def test_holds_one_models_space_terms(self):
+        # Beyond its outputs and the grid, a reconstruct holds one model's
+        # spatial terms, the two shared eval buffers and one chunk's encoding,
+        # plus parameter-sized folded weights: the first model's terms are
+        # dropped before the second model forms its own.
+        series = _constant_series()
+        m1, m2 = (make_model(series, l_space=40, l_time=12, hidden_width=48, seed=s)
+                  for s in (1, 2))
+        dims, times, chunk = (24, 24, 24), [0.0, 3.0], 8192
+        tracemalloc.start()
+        try:
+            reconstruct(m1, m2, dims, series.spacing, times, chunk=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cfg, n = m1.cfg, int(np.prod(dims))
+        terms = (1 + len(cfg.skip_layers)) * chunk * cfg.hidden_width * 8
+        bufs = 2 * chunk * (cfg.hidden_width + 1) * 8
+        encoding = chunk * 2 * m1.encoder.l_space * 8
+        outputs_and_grid = len(times) * n * 8 + n * 3 * 8
+        param_bytes = sum(a.nbytes for a in m1.state.values())
+        assert peak <= outputs_and_grid + terms + bufs + encoding + 4 * param_bytes
+
+    @staticmethod
+    def _count_space_terms(monkeypatch):
         space_terms, calls = InrModel.space_terms, []
 
         def counted(self, *args):
@@ -602,8 +650,22 @@ class TestReconstruct:
             return space_terms(self, *args)
 
         monkeypatch.setattr(InrModel, "space_terms", counted)
+        return calls
+
+    @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0]])
+    def test_unordered_times_rejected_before_any_work(self, monkeypatch, times):
+        series, m1, m2 = self._trained_pair()
+        calls = self._count_space_terms(monkeypatch)
         with pytest.raises(ValueError, match="strictly increasing"):
             reconstruct(m1, m2, series.dims, series.spacing, times)
+        assert calls == []
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_non_positive_chunk_rejected_before_any_work(self, monkeypatch, chunk):
+        series, m1, m2 = self._trained_pair()
+        calls = self._count_space_terms(monkeypatch)
+        with pytest.raises(ValueError, match="chunk must be a positive integer"):
+            reconstruct(m1, m2, series.dims, series.spacing, [0.0], chunk=chunk)
         assert calls == []
 
     def test_missing_time_range_rejected(self):
