@@ -51,6 +51,7 @@ from .volume_io import (
     normalize_times,
     read_manifest,
     read_nifti,
+    voxel_coords,
     write_manifest,
     write_nifti,
 )

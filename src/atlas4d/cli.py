@@ -2,10 +2,11 @@
 
 Configuration comes from a `key = value` file (`#` at the start of a line
 or after whitespace starts a comment) with optional `--set key=value`
-overrides; unknown keys are rejected. Every command writes its outputs
-under the configured run directory and records them in an
-`artifacts_<command>.txt` manifest. All randomness flows from
-config seeds, so a rerun with the same config reproduces identical bytes.
+overrides; unknown keys and keys set twice in the file are rejected.
+Every command writes its outputs under the configured run directory and
+records them in an `artifacts_<command>.txt` manifest. All randomness
+flows from config seeds, so a rerun with the same config reproduces
+identical bytes.
 """
 
 from __future__ import annotations
@@ -131,12 +132,15 @@ def load_config(path, overrides=()) -> dict:
     (run_dir, data.manifest, data.mask, eval.recon_manifest and
     eval.reference_manifest) hold Paths resolved against the config file's
     directory, or None when unset or empty. A config without run_dir fails
-    here, before any command starts work.
+    here, before any command starts work, and so does a key set on two
+    lines of the file (the error names both). Overrides win over the file,
+    and among overrides the last one for a key wins.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
@@ -144,6 +148,10 @@ def load_config(path, overrides=()) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key} "
+                              f"(first set on line {set_on[key]})")
+        set_on[key] = lineno
         raw[key] = val
     for item in overrides:
         if "=" not in item:

@@ -26,8 +26,10 @@ elementwise passes than the rebuild costs. Backward consumes the cache:
 it writes the gradient of each layer's pre-activation into that layer's
 xhat, its last use, and lets go of the one above, so the cache shrinks by one
 activation per layer as backward walks down, and the cache cannot be
-used twice. Forward drops the skip-concat buffer once no later layer
-reads it.
+used twice. The gradient of each layer's output goes into the plain
+rebuild buffer once the rebuilt output's ReLU mask is taken, so backward
+holds no gradient array of its own. Forward drops the skip-concat buffer
+once no later layer reads it.
 
 Eval-mode forward is a pure function of (parameters, input): with running
 statistics, batch norm is a fixed affine map, so each hidden layer is
@@ -362,6 +364,13 @@ class InrModel:
         it is spent afterwards: each layer's xhat is overwritten with the
         gradient of its pre-activation and freed once the layer below has
         used it. `cache.x` is left as it was.
+
+        Beyond the cache and the gradients, it holds the rebuild buffers of
+        _layer_output, one (batch, hidden_width) float64 array plus a
+        (batch, hidden_width + input_dim) one if the model has skip layers,
+        and one bool ReLU mask: the gradient of each layer's output goes
+        into the plain-layer buffer once the rebuilt output's mask and
+        weight gradient are taken.
         """
         if self.mode != "train":
             raise ValueError("backward on an eval-mode model is not defined")
@@ -382,7 +391,6 @@ class InrModel:
 
         dz = np.asarray(d_out, dtype=np.float64)[:, None]
         grads[f"b{n}"] = dz.sum(axis=0)
-        dh = np.empty((batch, width))
         for j in range(n - 1, 0, -1):
             # a is layer j's output, the input of layer j + 1; its gradient is
             # that of layer j + 1's leading hidden_width input columns (past
@@ -390,8 +398,14 @@ class InrModel:
             xhat = xhats.pop()
             a = self._layer_output(j, xhat, cache.x, bufs)
             grads[f"w{j + 1}"] = dz.T @ a
+            relu = a[:, :width] > 0.0
+            # a's last use: dh goes into the plain-layer buffer, which is a
+            # itself unless layer j is a skip layer
+            dh = bufs.get(False)
+            if dh is None:
+                dh = bufs[False] = np.empty((batch, width))
             np.matmul(dz, self.weights[j][:, :width], out=dh)
-            dh *= a[:, :width] > 0.0
+            dh *= relu
             # Batch norm backward in closed form, reusing the beta and gamma
             # gradients: dz = gamma*inv * (dh - sum(dh)/B - xhat*sum(dh*xhat)/B)
             g_gamma = grads[f"bn_g{j}"] = np.einsum("ij,ij->j", dh, xhat)

@@ -15,6 +15,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from .encoding import FourierEncoder
 from .network import InrModel, MlpConfig, eval_buffers, init_mlp
 from .optimizer import AdamState, DivergenceError, LrSchedule, adam_step, lr_at, sum_grads
-from .volume_io import Volume3D, Volume4D, coord_grid, denormalize_intensity, normalize_times
+from .volume_io import (Volume3D, Volume4D, denormalize_intensity, grid_dims, normalize_times,
+                        voxel_coords)
 
 
 @dataclass
@@ -99,39 +101,53 @@ class RefineHistory:
 
 
 class _Sampler:
-    """Uniform coordinate/intensity sampling over (masked voxels) x times."""
+    """Uniform coordinate/intensity sampling over (masked voxels) x times.
+
+    It keeps the series' volumes and copies nothing of size O(voxels)
+    but a mask's voxel pool: coordinates come from voxel_coords and
+    intensities from each drawn time's volume, so a draw equals
+    coord_grid(dims)[vox] and series.stack()[tix, vox] bit for bit.
+    """
 
     def __init__(self, series: Volume4D, mask: np.ndarray | None = None):
-        self.grid = coord_grid(series.dims)
-        self.values = series.stack()  # (n_times, n_voxels)
+        self.dims = series.dims
+        self.volumes = [v.data for v in series.volumes]
         self.t_norm = normalize_times(series.times, series.time_range)
-        if mask is None:
-            self.pool = np.arange(self.grid.shape[0])
-        else:
+        self.pool = None  # flat voxel indices of a mask; None samples every voxel
+        self.pool_size = math.prod(self.dims)
+        if mask is not None:
             mask = np.asarray(mask)
             if mask.shape != series.dims:
                 raise ValueError("mask shape does not match series dims")
             self.pool = np.flatnonzero(mask.ravel(order="F"))
-            if self.pool.size == 0:
+            self.pool_size = self.pool.size
+            if self.pool_size == 0:
                 raise ValueError("empty mask")
 
     def _draw(self, times: np.ndarray, n: int, rng: np.random.Generator):
         """n uniform (voxel index, entry of `times`) pairs, voxels drawn first."""
         if times.size == 0:
             raise ValueError("no time points to sample")
-        vox = self.pool[rng.integers(0, self.pool.size, n)]
+        vox = rng.integers(0, self.pool_size, n)
+        if self.pool is not None:
+            vox = self.pool[vox]
         return vox, times[rng.integers(0, times.size, n)]
 
     def draw(self, time_indices, n: int, rng: np.random.Generator):
         """n random ((x, y, z, t_norm), intensity) pairs from given times."""
         vox, tix = self._draw(np.asarray(time_indices, dtype=np.int64), n, rng)
-        points = np.column_stack([self.grid[vox], self.t_norm[tix]])
-        return points, self.values[tix, vox]
+        points = np.column_stack([voxel_coords(self.dims, vox), self.t_norm[tix]])
+        ijk = np.unravel_index(vox, self.dims, order="F")
+        values = np.empty(n)
+        for t in np.unique(tix):
+            at_t = tix == t
+            values[at_t] = self.volumes[t][tuple(i[at_t] for i in ijk)]
+        return points, values
 
     def draw_coords(self, t_norm_values, n: int, rng: np.random.Generator) -> np.ndarray:
         """n random coordinates at the given (already normalized) times."""
         vox, t = self._draw(np.asarray(t_norm_values, dtype=np.float64), n, rng)
-        return np.column_stack([self.grid[vox], t])
+        return np.column_stack([voxel_coords(self.dims, vox), t])
 
 
 def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:
@@ -224,7 +240,8 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
     Per epoch, each model runs its fidelity forward and backward in turn,
     keeping only the gradients; then both models run their cross forward,
     and each update sums its fidelity and cross gradients. So at most the
-    two cross caches are alive at once. The epoch at the end of the
+    two cross caches are alive at once, and both are dropped after the
+    updates, encoded batches included. The epoch at the end of the
     `refine_max_epochs` budget is never followed by an update (the best
     snapshot would discard it), so it skips both fidelity backwards; an
     epoch that ends on patience has spent them.
@@ -276,6 +293,9 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
         lr = lr_at(cfg.refine_schedule, epoch)
         _update(m1, params1, adam1, lr, sum_grads(g1, m1.backward(cache1, d_cross)))
         _update(m2, params2, adam2, lr, sum_grads(g2, m2.backward(cache2, -d_cross)))
+        # spent, but each still holds its encoded batch: drop them before
+        # the next epoch's cross forwards
+        del cache1, cache2
 
     m1.load_snapshot(best_state[0])
     m2.load_snapshot(best_state[1])
@@ -302,7 +322,7 @@ def average_predict(m1: InrModel, m2: InrModel, points: np.ndarray) -> np.ndarra
 
 def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
                 intensity_scale: tuple[float, float] | None = None,
-                chunk: int = 16384) -> Volume4D:
+                chunk: int = 4096) -> Volume4D:
     """Sample the averaged model on a full grid at each requested time.
 
     Times must be strictly increasing, which is checked before any work.
@@ -312,9 +332,11 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     normalized [0, 1] training range before optional denormalization.
 
     The grid is walked in chunks of `chunk` voxels (a positive integer,
-    also checked before any work), one model at a time. Each model is
-    folded once per call (InrModel.fold) and forms its time terms once per
-    requested time, from that time's one encoded row. For each chunk a
+    also checked before any work), one model at a time, and each chunk's
+    coordinates are formed on their own (voxel_coords), so no array spans
+    the whole grid but the outputs. Each model is folded once per call
+    (InrModel.fold) and forms its time terms once per requested time,
+    from that time's one encoded row. For each chunk a
     model encodes only the spatial block of the features and forms its
     InrModel.space_terms once; for each time it then runs
     InrModel.eval_forward, the loop behind every eval-mode prediction, so
@@ -323,8 +345,8 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     breaks that at small chunks). Beyond the output volumes, memory is
     bounded by one model's spatial terms, (1 + number of skip layers) *
     chunk * hidden_width floats, which are dropped before the next model's
-    are formed, plus one chunk's encoding and the two (chunk,
-    hidden_width + 1) eval buffers that both models share.
+    are formed, plus one chunk's coordinates and encoding and the two
+    (chunk, hidden_width + 1) eval buffers that both models share.
     """
     times = np.asarray(times, dtype=np.float64)
     if np.any(np.diff(times) <= 0):
@@ -338,9 +360,8 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
         raise ValueError("models lack a shared training time range")
     _check_pair(m1, m2)
     t_norm = normalize_times(times, tuple(t_range))
-    grid = coord_grid(dims)
-    n = grid.shape[0]
-    dims = tuple(int(d) for d in dims)
+    dims = grid_dims(dims)
+    n = math.prod(dims)
     models = (m1, m2)
     folded = [m.fold() for m in models]
 
@@ -358,8 +379,9 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     pred = np.zeros((times.size, n))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
+        xyz = voxel_coords(dims, np.arange(lo, hi))
         for m, f, by_time in zip(models, folded, time_terms):
-            space = m.space_terms(f, m.encoder.encode_space(grid[lo:hi]))
+            space = m.space_terms(f, m.encoder.encode_space(xyz))
             for k, t_terms in enumerate(by_time):
                 pred[k, lo:hi] += 0.5 * m.eval_forward(f, space, t_terms, bufs[m.cfg.hidden_width])
             del space  # before the next model forms its terms

@@ -38,12 +38,18 @@ _HEADER_SIZE = 348
 _VOX_OFFSET = 352  # header + 4-byte extension flag
 
 
+def grid_dims(dims) -> tuple[int, int, int]:
+    """dims as three ints of at least 1 each; ValueError otherwise."""
+    ints = tuple(int(d) for d in dims)
+    if len(ints) != 3 or any(d < 1 for d in ints):
+        raise ValueError(f"invalid dims {ints}")
+    return ints
+
+
 def _init_grid(vol) -> None:
     """Make vol's dims ints and spacing floats; raise unless they fit vol.data."""
-    vol.dims = tuple(int(d) for d in vol.dims)
+    vol.dims = grid_dims(vol.dims)
     vol.spacing = tuple(float(s) for s in vol.spacing)
-    if len(vol.dims) != 3 or any(d < 1 for d in vol.dims):
-        raise ValueError(f"invalid dims {vol.dims}")
     if not all(0 < s < math.inf for s in vol.spacing):
         raise ValueError(f"spacing must be positive and finite, got {vol.spacing}")
     if vol.data.shape != vol.dims:
@@ -434,22 +440,25 @@ def _axis_coords(n: int) -> np.ndarray:
     return (2.0 * np.arange(n) - (n - 1)) / (n - 1)
 
 
-def coord_grid(dims: tuple[int, int, int]) -> np.ndarray:
-    """Normalized voxel-center coordinates, one (x, y, z) row per voxel.
+def voxel_coords(dims: tuple[int, int, int], index) -> np.ndarray:
+    """Normalized voxel-center coordinates of the voxels at flat `index`.
 
-    Each axis is mapped so centers span [-1, 1] (a single-voxel axis maps to
-    0), whatever the physical spacing. Row order matches the disk/flat data
-    layout.
+    One (x, y, z) row per entry of `index`, a flat index in disk order
+    (x fastest), gathered from the per-axis coordinate vectors, so no
+    whole-grid array is formed; coord_grid(dims)[index] gives the same
+    rows. Each axis is mapped so centers span [-1, 1] (a single-voxel axis
+    maps to 0), whatever the physical spacing.
     """
-    if len(dims) != 3 or any(int(d) < 1 for d in dims):
-        raise ValueError(f"invalid dims {dims}")
-    nx, ny, nz = (int(d) for d in dims)
-    gx, gy, gz = np.meshgrid(
-        _axis_coords(nx), _axis_coords(ny), _axis_coords(nz), indexing="ij"
-    )
-    return np.stack(
-        [gx.ravel(order="F"), gy.ravel(order="F"), gz.ravel(order="F")], axis=1
-    )
+    dims = grid_dims(dims)
+    ijk = np.unravel_index(np.asarray(index, dtype=np.int64), dims, order="F")
+    return np.stack([_axis_coords(n)[i] for n, i in zip(dims, ijk)], axis=1)
+
+
+def coord_grid(dims: tuple[int, int, int]) -> np.ndarray:
+    """voxel_coords of every voxel: one (x, y, z) row per voxel, in the
+    disk/flat data layout's order."""
+    dims = grid_dims(dims)
+    return voxel_coords(dims, np.arange(math.prod(dims)))
 
 
 def normalize_times(times, time_range: tuple[float, float]) -> np.ndarray:

@@ -172,6 +172,23 @@ class TestConfigParsing:
         assert parsed["train.batch_size"] == 4
         assert parsed["run_dir"] == tmp_path / "out"
 
+    def test_duplicate_key_rejected_naming_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("run_dir = out\ntrain.batch_size = 100\n# note\ntrain.batch_size = 200\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert str(err.value) == (
+            f"{cfg}:4: duplicate key train.batch_size (first set on line 2)")
+        assert _run("phantom", "--config", str(cfg)) == 1
+        assert "duplicate key train.batch_size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_set_may_repeat_a_file_key_and_itself(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("run_dir = out\ntrain.batch_size = 100\n")
+        overrides = ["train.batch_size=200", "train.batch_size=300"]
+        assert load_config(cfg, overrides)["train.batch_size"] == 300
+
     def test_hash_inside_value_kept(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("run_dir = out#1\t# comment after a tab\n")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -533,6 +534,34 @@ class TestBackward:
         model.backward(cache, np.ones(4))
         with pytest.raises(ValueError, match="spent cache"):
             model.backward(cache, np.ones(4))
+
+    @pytest.mark.parametrize("skips", [(), (3,), (7,)])
+    def test_allocates_one_hidden_buffer_and_one_mask(self, skips):
+        # Beyond its cache, backward allocates the plain rebuild buffer, the
+        # skip rebuild buffer if the model has skips, one bool ReLU mask and
+        # the gradients: the gradient of each layer's output reuses the plain
+        # buffer. Skip layer 7 is the top hidden layer, whose output is
+        # rebuilt into the skip buffer, so the plain one is made for dh.
+        batch, width, input_dim = 4096, 64, 104
+        cfg = MlpConfig(input_dim=input_dim, hidden_width=width, n_layers=8,
+                        skip_layers=skips)
+        model = init_mlp(cfg, seed=1)
+        rng = np.random.default_rng(0)
+        _, cache = model.forward(rng.normal(size=(batch, input_dim)))
+        d_out = rng.normal(size=batch)
+        tracemalloc.start()
+        try:
+            grads = model.backward(cache, d_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plain = batch * width * 8
+        skip = batch * (width + input_dim) * 8 if skips else 0
+        mask = batch * width
+        grad_bytes = sum(g.nbytes for g in grads.values())
+        # ufunc and einsum working buffers and per-unit vectors
+        small = plain // 4
+        assert peak <= plain + skip + mask + grad_bytes + small
 
     def test_cache_input_unchanged(self):
         # backward overwrites the cached xhat arrays but must not touch x

@@ -1,4 +1,6 @@
 import hashlib
+import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -170,6 +172,44 @@ class TestSampleBatch:
     def test_draw_coords_empty_times_rejected(self):
         with pytest.raises(ValueError, match="no time points"):
             _Sampler(self._tiny()).draw_coords([], 4, np.random.default_rng(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 5)] * 3), n_times=st.integers(2, 4),
+           masked=st.booleans(), fortran=st.booleans(), n=st.integers(1, 64),
+           seed=st.integers(0, 2**16))
+    def test_draws_equal_grid_and_stack_indexing(self, dims, n_times, masked, fortran, n, seed):
+        # The sampler copies neither the grid nor the series: its draws must
+        # equal coord_grid and stack() indexed by the voxels and times that
+        # the same two RNG calls pick, whatever the volumes' memory order.
+        rng = np.random.default_rng(seed)
+        order = "F" if fortran else "C"
+        series = _series([np.array(rng.uniform(0, 1, dims), order=order)
+                          for _ in range(n_times)], np.arange(n_times, dtype=float))
+        assert all(v.data.flags[f"{order}_CONTIGUOUS"] for v in series.volumes)
+        mask = None
+        pool = np.arange(int(np.prod(dims)))
+        if masked:
+            mask = rng.uniform(size=dims) < 0.5
+            mask.flat[rng.integers(mask.size)] = True
+            pool = np.flatnonzero(mask.ravel(order="F"))
+        sampler = _Sampler(series, mask)
+        times = rng.permutation(n_times)[:max(1, n_times - 1)]
+        t_norm = rng.uniform(-1, 1, 3)
+
+        replay = np.random.default_rng(seed + 1)
+        vox = pool[replay.integers(0, pool.size, n)]
+        tix = times[replay.integers(0, times.size, n)]
+        pts, vals = sampler.draw(times, n, np.random.default_rng(seed + 1))
+        want = np.column_stack([coord_grid(dims)[vox],
+                                normalize_times(series.times, series.time_range)[tix]])
+        assert np.array_equal(pts, want)
+        assert np.array_equal(vals, series.stack()[tix, vox])
+
+        replay = np.random.default_rng(seed + 2)
+        vox = pool[replay.integers(0, pool.size, n)]
+        t = t_norm[replay.integers(0, t_norm.size, n)]
+        coords = sampler.draw_coords(t_norm, n, np.random.default_rng(seed + 2))
+        assert np.array_equal(coords, np.column_stack([coord_grid(dims)[vox], t]))
 
 
 def _tiny_cfg(**kw):
@@ -416,6 +456,28 @@ class TestRefine:
         param_bytes = sum(p.nbytes for p in m1.params().values())
         assert refine_peak - pretrain_peak <= one_cache + 12 * param_bytes
 
+    def test_next_update_epoch_holds_no_spent_cross_batch(self):
+        # The last epoch never updates, so refine_max_epochs 3 runs two
+        # updating epochs and 2 runs one. Both cross caches are dropped after
+        # the updates, so the second updating epoch's cross forwards carry no
+        # spent encoded batch: it peaks at most a bool ReLU mask above the
+        # first epoch's backward.
+        series = _constant_series()
+        split = split_timepoints(series.times)
+        batch = 4096
+        arch = dict(l_space=40, l_time=12, hidden_width=64, n_layers=8, skip_layers=(3,))
+        peaks = []
+        for epochs in (2, 3):
+            cfg = _tiny_cfg(batch_size=batch, refine_max_epochs=epochs, patience=5)
+            m1, m2 = make_model(series, seed=1, **arch), make_model(series, seed=2, **arch)
+            tracemalloc.start()
+            try:
+                refine(m1, m2, series, split, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= batch * m1.cfg.hidden_width
+
     def short_run_digest(self) -> str:
         """sha256 of the losses and final arrays of a short pretrain + refine
         at the acceptance architecture (l_space 40, l_time 12, width 48)."""
@@ -618,15 +680,34 @@ class TestReconstruct:
             assert np.all((want > 0.0) & (want < 1.0))
             assert np.array_equal(out.volumes[k].flat(), want), t
 
+    def test_equals_average_predict_bitwise_at_default_chunk(self):
+        # Width 48 at the default chunk, with a ragged last chunk: 17 * 16 * 16
+        # voxels are one full chunk of 4096 and one of 256.
+        series = _constant_series()
+        models = [make_model(series, l_space=40, l_time=12, hidden_width=48, seed=seed)
+                  for seed in (3, 4)]
+        for m in models:
+            m.out_bias[:] = 0.5  # inside the [0, 1] clip
+        dims, times = (17, 16, 16), [0.0, 1.5, 3.0]
+        assert math.prod(dims) % inspect.signature(reconstruct).parameters["chunk"].default
+        out = reconstruct(*models, dims, series.spacing, times)
+        grid = coord_grid(dims)
+        for k, t in enumerate(times):
+            tn = normalize_times([t], series.time_range)[0]
+            want = average_predict(*models, np.column_stack([grid, np.full(grid.shape[0], tn)]))
+            assert np.all((want > 0.0) & (want < 1.0))
+            assert np.array_equal(out.volumes[k].flat(), want), t
+
     def test_holds_one_models_space_terms(self):
-        # Beyond its outputs and the grid, a reconstruct holds one model's
-        # spatial terms, the two shared eval buffers and one chunk's encoding,
-        # plus parameter-sized folded weights: the first model's terms are
-        # dropped before the second model forms its own.
+        # Beyond its outputs, a reconstruct holds one model's spatial terms,
+        # the two shared eval buffers and one chunk's encoding, plus
+        # parameter-sized folded weights: the first model's terms are
+        # dropped before the second model forms its own, and coordinates are
+        # formed one chunk at a time (a whole 40^3 grid would not fit).
         series = _constant_series()
         m1, m2 = (make_model(series, l_space=40, l_time=12, hidden_width=48, seed=s)
                   for s in (1, 2))
-        dims, times, chunk = (24, 24, 24), [0.0, 3.0], 8192
+        dims, times, chunk = (40, 40, 40), [0.0, 3.0], 8192
         tracemalloc.start()
         try:
             reconstruct(m1, m2, dims, series.spacing, times, chunk=chunk)
@@ -637,9 +718,9 @@ class TestReconstruct:
         terms = (1 + len(cfg.skip_layers)) * chunk * cfg.hidden_width * 8
         bufs = 2 * chunk * (cfg.hidden_width + 1) * 8
         encoding = chunk * 2 * m1.encoder.l_space * 8
-        outputs_and_grid = len(times) * n * 8 + n * 3 * 8
+        outputs = len(times) * n * 8
         param_bytes = sum(a.nbytes for a in m1.state.values())
-        assert peak <= outputs_and_grid + terms + bufs + encoding + 4 * param_bytes
+        assert peak <= outputs + terms + bufs + encoding + 4 * param_bytes
 
     @staticmethod
     def _count_space_terms(monkeypatch):

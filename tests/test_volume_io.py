@@ -26,6 +26,7 @@ from atlas4d.volume_io import (
     normalize_times,
     read_manifest,
     read_nifti,
+    voxel_coords,
     write_atomic,
     write_manifest,
     write_nifti,
@@ -531,6 +532,28 @@ class TestCoordGrid:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             coord_grid((0, 2, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 6)] * 3), n=st.integers(0, 50),
+           seed=st.integers(0, 2**16))
+    def test_voxel_coords_equal_meshgrid_rows(self, dims, n, seed):
+        # Per-axis vectors gathered by flat index give the rows of the full
+        # meshgrid, raveled in disk order, bit for bit.
+        axes = [(2.0 * np.arange(d) - (d - 1)) / (d - 1) if d > 1 else np.zeros(1)
+                for d in dims]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        reference = np.stack([g.ravel(order="F") for g in mesh], axis=1)
+        idx = np.random.default_rng(seed).integers(0, reference.shape[0], n)
+        assert np.array_equal(voxel_coords(dims, idx), reference[idx])
+        assert np.array_equal(voxel_coords(dims, idx), coord_grid(dims)[idx])
+        assert np.array_equal(coord_grid(dims), reference)
+        assert voxel_coords(dims, idx).shape == (n, 3)
+
+    def test_voxel_coords_invalid_dims_and_index(self):
+        with pytest.raises(ValueError, match="invalid dims"):
+            voxel_coords((2, 2), [0])
+        with pytest.raises(ValueError):
+            voxel_coords((2, 2, 2), [8])
 
 
 class TestNormalizeTimes:
