@@ -16,6 +16,7 @@ import inspect
 import math
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from .volume_io import (
     normalize_intensity,
     read_manifest,
     read_nifti,
+    same_spacing,
     write_atomic,
     write_manifest,
     write_nifti,
@@ -225,28 +227,47 @@ def _load_training_series(cfg: dict):
     return normalize_intensity(series), mask
 
 
-def _write_series(out_dir: Path, series: dict, times) -> list[Path]:
+def _write_series(out_dir: Path, names, times, frames) -> list[Path]:
     """Write each named series as <name>_w<time>.nii files plus <name>.tsv.
 
-    series maps a name to its volumes, one per time. Volumes are written
-    time point by time point, in series order within each; the manifests
-    follow, in series order. Returns every path written, in that order.
-    Any other <name>_w*.nii in out_dir is then deleted; other files stay.
+    frames yields, for each time in times, one volume per name in names
+    order. One writer thread writes time point k's volumes, in names order,
+    while frames builds time point k + 1; k's write is waited for before
+    k + 1 is handed over, so at most two time points are alive, and a write
+    error is raised at that wait. The manifests follow, in names order.
+    Returns every path written, in that order. Any other <name>_w*.nii in
+    out_dir is then deleted; other files stay.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     produced = []
-    entries = {name: [] for name in series}
-    for k, t in enumerate(times):
-        for name, volumes in series.items():
-            p = out_dir / f"{name}_w{format_time(t)}.nii"
-            write_nifti(volumes[k], p)
-            entries[name].append((p, float(t)))
-            produced.append(p)
-    for name in series:
+    entries = {name: [] for name in names}
+
+    def write(paths, volumes):
+        for p, vol in zip(paths, volumes, strict=True):
+            write_nifti(vol, p)
+
+    # Not zip over frames: its reused result tuple would keep time point k
+    # alive while k + 1 is built, after k's write has ended.
+    frames = iter(frames)
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        pending = None
+        for t in times:
+            volumes = next(frames)
+            paths = [out_dir / f"{name}_w{format_time(t)}.nii" for name in names]
+            if pending is not None:
+                pending.result()
+            pending = writer.submit(write, paths, volumes)
+            del volumes  # the writer holds this time point until it is written
+            for name, p in zip(names, paths):
+                entries[name].append((p, float(t)))
+            produced.extend(paths)
+        if pending is not None:
+            pending.result()
+    for name in names:
         p = out_dir / f"{name}.tsv"
         write_manifest(entries[name], p)
         produced.append(p)
-    for p in {p for name in series for p in out_dir.glob(f"{name}_w*.nii")} - set(produced):
+    for p in {p for name in names for p in out_dir.glob(f"{name}_w*.nii")} - set(produced):
         p.unlink()
     return produced
 
@@ -275,12 +296,11 @@ def cmd_phantom(cfg: dict) -> None:
         intensity_noise_sigma=cfg["phantom.noise_sigma"],
         seed=cfg["phantom.seed"],
     )
-    clean, noisy, labels = ph.generate(pcfg)
     out = cfg["run_dir"] / "phantom"
-    produced = _write_series(out, {"clean": clean.volumes, "noisy": noisy.volumes,
-                                   "labels": labels}, clean.times)
+    produced = _write_series(out, ("clean", "noisy", "labels"), pcfg.times(),
+                             ph.frames(pcfg))
     _write_artifacts(cfg["run_dir"], "phantom", produced)
-    print(f"phantom: wrote {len(clean.times)} time points under {out}")
+    print(f"phantom: wrote {pcfg.n_times} time points under {out}")
 
 
 def cmd_pretrain(cfg: dict) -> None:
@@ -384,7 +404,7 @@ def cmd_infer(cfg: dict) -> None:
     recon = reconstruct(m1, m2, dims, spacing, times, meta.get("intensity_scale"))
 
     out = run_dir / "recon"
-    produced = _write_series(out, {"recon": recon.volumes}, recon.times)
+    produced = _write_series(out, ("recon",), recon.times, zip(recon.volumes))
     _write_artifacts(run_dir, "infer", produced)
     print(f"infer ({stage}): wrote {len(recon.times)} volumes at dims {dims}")
 
@@ -408,6 +428,7 @@ def cmd_eval(cfg: dict) -> None:
                           f"{', '.join(map(format_time, times))} against "
                           f"{', '.join(map(format_time, ref_times))}")
 
+    run_dir.mkdir(parents=True, exist_ok=True)
     # Thresholding gives class-1 maps, so DICE and TC score class 1.
     thr = cfg["eval.label_threshold"]
     axis = cfg["eval.efc_axis"]
@@ -418,6 +439,10 @@ def cmd_eval(cfg: dict) -> None:
         a, b = next(recon_vols), next(ref_vols)
         if a.dims != b.dims:
             raise ConfigError("recon and reference series do not match in shape")
+        if not same_spacing(a.spacing, b.spacing):
+            raise ConfigError(f"recon and reference series lie on different voxel grids: "
+                              f"{recon_manifest} has spacing {a.spacing}, {ref_manifest} "
+                              f"has spacing {b.spacing}")
         la, lb = met.threshold_labels(a, thr), met.threshold_labels(b, thr)
         empty = [name for name, lab in (("recon", la), ("reference", lb)) if not lab.data.any()]
         if empty:

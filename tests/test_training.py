@@ -442,6 +442,9 @@ class TestRefine:
         m1, m2 = make_model(series, seed=1, **arch), make_model(series, seed=2, **arch)
 
         def traced_peak(run):
+            # One untraced call first, so both peaks are taken on a heap the
+            # same calls have warmed, whatever ran before this test.
+            run()
             tracemalloc.start()
             try:
                 run()
@@ -454,7 +457,9 @@ class TestRefine:
         mc = m1.cfg
         one_cache = batch * mc.hidden_width * (mc.n_layers - 1) * 8 + batch * mc.input_dim * 8
         param_bytes = sum(p.nbytes for p in m1.params().values())
-        assert refine_peak - pretrain_peak <= one_cache + 12 * param_bytes
+        # Warmed up, the test reads 6.2 parameter sizes alone and after the
+        # rest of the file; refine keeping its spent cross caches reads 13.5.
+        assert refine_peak - pretrain_peak <= one_cache + 7 * param_bytes
 
     def test_next_update_epoch_holds_no_spent_cross_batch(self):
         # The last epoch never updates, so refine_max_epochs 3 runs two
