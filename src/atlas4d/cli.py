@@ -438,7 +438,9 @@ def cmd_eval(cfg: dict) -> None:
         # Not zip: its reused result tuple would keep the last pair alive.
         a, b = next(recon_vols), next(ref_vols)
         if a.dims != b.dims:
-            raise ConfigError("recon and reference series do not match in shape")
+            raise ConfigError(f"recon and reference series do not match in shape: "
+                              f"{recon_manifest} has dims {a.dims}, {ref_manifest} "
+                              f"has dims {b.dims}")
         if not same_spacing(a.spacing, b.spacing):
             raise ConfigError(f"recon and reference series lie on different voxel grids: "
                               f"{recon_manifest} has spacing {a.spacing}, {ref_manifest} "

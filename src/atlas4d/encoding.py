@@ -20,12 +20,11 @@ class FourierEncoder:
         rng = np.random.default_rng(seed)
         self.l_space = int(l_space)
         self.l_time = int(l_time)
-        self.seed = int(seed)
         self.b_space = rng.standard_normal((self.l_space, 3))
         self.b_time = rng.standard_normal((self.l_time, 1))
 
     @classmethod
-    def from_matrices(cls, b_space: np.ndarray, b_time: np.ndarray, seed: int = 0) -> "FourierEncoder":
+    def from_matrices(cls, b_space: np.ndarray, b_time: np.ndarray) -> "FourierEncoder":
         """Rebuild an encoder from persisted projection matrices."""
         enc = cls.__new__(cls)
         enc.b_space = np.asarray(b_space, dtype=np.float64)
@@ -36,7 +35,6 @@ class FourierEncoder:
             raise ValueError(f"b_time must be (L_t, 1), got {enc.b_time.shape}")
         enc.l_space = enc.b_space.shape[0]
         enc.l_time = enc.b_time.shape[0]
-        enc.seed = int(seed)
         return enc
 
     @property

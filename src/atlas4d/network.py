@@ -10,9 +10,10 @@ concatenated back onto the hidden state, so the following layer sees
 hidden_width + input_dim inputs.
 
 One table, `_expected_shapes`, names every array of a model and gives its
-shape. `InrModel.state` maps those names to the arrays; init, params,
-state_dict and checkpoints all read names from it, and the per-layer lists
-(`weights`, `bn_gamma`, ...) hold the same array objects.
+shape. `InrModel.state` maps those names to the arrays; init, params and
+state_dict read names from it, a checkpoint stores the arrays in its order,
+and the per-layer lists (`weights`, `bn_gamma`, ...) hold the same array
+objects.
 
 Everything is float64. Train-mode forward normalizes with batch statistics
 and updates running statistics. For backward it keeps only the input and
@@ -76,9 +77,9 @@ from .volume_io import write_atomic
 class CheckpointError(RuntimeError):
     """Checkpoint file is unreadable or malformed; the message names the file.
 
-    Raised for a bad magic, version, checksum or size, undecodable metadata,
-    an array dtype other than float64, and arrays missing, shaped unlike the
-    stored architecture or not part of it.
+    Raised for a bad magic, version or checksum, undecodable or invalid
+    metadata, a payload whose length is not that of the stored
+    architecture's arrays, and a non-finite value in it.
     """
 
 
@@ -93,6 +94,9 @@ class MlpConfig:
 
     def __post_init__(self):
         self.skip_layers = tuple(sorted(int(s) for s in self.skip_layers))
+        for name in ("input_dim", "hidden_width", "n_layers"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.input_dim < 1 or self.hidden_width < 1:
             raise ValueError("input_dim and hidden_width must be >= 1")
         if self.n_layers < 2:
@@ -468,104 +472,20 @@ def init_mlp(cfg: MlpConfig, seed: int = 0, encoder: FourierEncoder | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: tagged little-endian container, CRC-checked.
+# Checkpoints: the state table's float64 values in table order, CRC-checked.
 #
 #   magic "A4DCKPT\0" | u32 version | u32 meta_len | meta json (utf-8)
-#   | u32 n_arrays | per array: u16 name_len, name, u8 dtype_code,
-#     u8 ndim, i64*ndim shape, u64 nbytes, raw bytes | u32 crc32
+#   | payload: little-endian float64 | u32 crc32
 #
-# The CRC covers everything between the magic and the checksum itself.
+# The payload holds every array of _expected_shapes(cfg), in table order,
+# then enc_b_space (l_space, 3) and enc_b_time (l_time, 1) when the meta
+# names an encoder. So the meta's "mlp" and "encoder" entries give every
+# array's offset and shape, and the file stores no name, dtype or shape of
+# its own. The CRC covers everything between the magic and the checksum
+# itself. All integers are little-endian.
 
 _CKPT_MAGIC = b"A4DCKPT\x00"
-_CKPT_VERSION = 1
-_DTYPE_CODES = {0: "<f8"}
-_DTYPE_TO_CODE = {np.dtype(v): k for k, v in _DTYPE_CODES.items()}
-
-
-def _pack_container(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    body = bytearray()
-    body += struct.pack("<I", _CKPT_VERSION)
-    meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    body += struct.pack("<I", len(meta_blob))
-    body += meta_blob
-    body += struct.pack("<I", len(arrays))
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        code = _DTYPE_TO_CODE.get(arr.dtype.newbyteorder("<"))
-        if code is None:
-            raise ValueError(f"unsupported array dtype {arr.dtype} for {name}")
-        nm = name.encode("utf-8")
-        body += struct.pack("<H", len(nm))
-        body += nm
-        body += struct.pack("<BB", code, arr.ndim)
-        body += struct.pack(f"<{arr.ndim}q", *arr.shape) if arr.ndim else b""
-        raw = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-        body += struct.pack("<Q", len(raw))
-        body += raw
-    crc = zlib.crc32(bytes(body))
-    return _CKPT_MAGIC + bytes(body) + struct.pack("<I", crc)
-
-
-def _unpack_container(blob: bytes, path) -> tuple[dict, dict[str, np.ndarray]]:
-    if len(blob) < len(_CKPT_MAGIC) + 8 or blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise CheckpointError(f"corrupt checkpoint: bad magic ({path})")
-    body, crc_stored = blob[len(_CKPT_MAGIC):-4], blob[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", crc_stored)[0]:
-        raise CheckpointError(f"corrupt checkpoint: checksum failure ({path})")
-    off = 0
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(body):
-            raise CheckpointError(f"corrupt checkpoint: truncated ({path})")
-        vals = struct.unpack_from(fmt, body, off)
-        off += size
-        return vals
-
-    (version,) = take("<I")
-    if version != _CKPT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version mismatch: file has {version}, expected {_CKPT_VERSION} ({path})"
-        )
-    (meta_len,) = take("<I")
-    if off + meta_len > len(body):
-        raise CheckpointError(f"corrupt checkpoint: truncated ({path})")
-    try:
-        meta = json.loads(body[off:off + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint: undecodable meta: {exc} ({path})") from exc
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"corrupt checkpoint: meta is not an object ({path})")
-    off += meta_len
-    (n_arrays,) = take("<I")
-    arrays = {}
-    for _ in range(n_arrays):
-        (name_len,) = take("<H")
-        try:
-            name = body[off:off + name_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"corrupt checkpoint: undecodable array name ({path})") from exc
-        off += name_len
-        code, ndim = take("<BB")
-        shape = take(f"<{ndim}q") if ndim else ()
-        (nbytes,) = take("<Q")
-        if code not in _DTYPE_CODES:
-            raise CheckpointError(
-                f"corrupt checkpoint: unknown dtype code {code} for array {name!r} ({path})"
-            )
-        dtype = np.dtype(_DTYPE_CODES[code])
-        if any(d < 0 for d in shape) or nbytes != dtype.itemsize * math.prod(shape):
-            raise CheckpointError(
-                f"corrupt checkpoint: array {name!r} holds {nbytes} bytes, "
-                f"not a {dtype} array of shape {shape} ({path})"
-            )
-        if off + nbytes > len(body):
-            raise CheckpointError(f"corrupt checkpoint: truncated ({path})")
-        arr = np.frombuffer(body[off:off + nbytes], dtype=dtype)
-        arrays[name] = arr.reshape(shape).copy()
-        off += nbytes
-    return meta, arrays
+_CKPT_VERSION = 2
 
 
 def save_checkpoint(model: InrModel, path) -> None:
@@ -582,25 +502,45 @@ def save_checkpoint(model: InrModel, path) -> None:
         "encoder": None,
         "meta": model.meta,
     }
-    arrays = model.state_dict()
+    arrays = list(model.state.values())
     if model.encoder is not None:
-        meta["encoder"] = {"seed": model.encoder.seed}
-        arrays["enc_b_space"] = model.encoder.b_space
-        arrays["enc_b_time"] = model.encoder.b_time
-    write_atomic(path, _pack_container(meta, arrays))
+        meta["encoder"] = {"l_space": model.encoder.l_space, "l_time": model.encoder.l_time}
+        arrays += [model.encoder.b_space, model.encoder.b_time]
+    meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = bytearray(struct.pack("<II", _CKPT_VERSION, len(meta_blob)) + meta_blob)
+    for a in arrays:
+        body += np.ascontiguousarray(a, dtype="<f8").tobytes()
+    write_atomic(path, _CKPT_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path) -> InrModel:
     """Rebuild a model from disk.
 
-    Every parameter and running statistic must be a float64 array of the
-    shape the stored architecture implies, and the encoder, when present,
-    must produce that architecture's input width. The file holds those
-    arrays and the encoder's two matrices and nothing else; anything else
-    raises CheckpointError naming the array and the file.
+    The payload must hold exactly the float64 values of the stored
+    architecture's arrays, plus the encoder's two matrices when the meta
+    names an encoder of that architecture's input width, and every value
+    must be finite. Anything else raises CheckpointError naming the file.
     """
     path = Path(path)
-    meta, arrays = _unpack_container(path.read_bytes(), path)
+    blob = path.read_bytes()
+    if len(blob) < len(_CKPT_MAGIC) + 12 or not blob.startswith(_CKPT_MAGIC):
+        raise CheckpointError(f"corrupt checkpoint: bad magic ({path})")
+    body = memoryview(blob)[len(_CKPT_MAGIC):-4]
+    if zlib.crc32(body) != struct.unpack("<I", blob[-4:])[0]:
+        raise CheckpointError(f"corrupt checkpoint: checksum failure ({path})")
+    version, meta_len = struct.unpack_from("<II", body)
+    if version != _CKPT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version mismatch: file has {version}, expected {_CKPT_VERSION} ({path})"
+        )
+    if 8 + meta_len > len(body):
+        raise CheckpointError(f"corrupt checkpoint: truncated ({path})")
+    try:
+        meta = json.loads(bytes(body[8:8 + meta_len]).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint: undecodable meta: {exc} ({path})") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"corrupt checkpoint: meta is not an object ({path})")
     if meta.get("kind") != "inr_model":
         raise CheckpointError(f"corrupt checkpoint: unexpected kind ({path})")
     if meta.get("mode", "train") not in ("train", "eval"):
@@ -610,32 +550,32 @@ def load_checkpoint(path) -> InrModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint: bad mlp meta: {exc!r} ({path})") from exc
     shapes = _expected_shapes(cfg)
-    encoder_names = ("enc_b_space", "enc_b_time") if meta.get("encoder") is not None else ()
-    for name in arrays:
-        if name not in shapes and name not in encoder_names:
+    enc = meta.get("encoder")
+    if enc is not None:
+        dims = (enc.get("l_space"), enc.get("l_time")) if isinstance(enc, dict) else (None,)
+        if not all(type(d) is int and d >= 1 for d in dims):
+            raise CheckpointError(f"corrupt checkpoint: bad encoder meta {enc!r} ({path})")
+        if 2 * sum(dims) != cfg.input_dim:
             raise CheckpointError(
-                f"corrupt checkpoint: array '{name}' is not one of this model's ({path})")
-    for name, shape in shapes.items():
-        if name not in arrays:
-            raise CheckpointError(f"corrupt checkpoint: missing array '{name}' ({path})")
-        if arrays[name].shape != shape:
-            raise CheckpointError(
-                f"corrupt checkpoint: array '{name}' is {arrays[name].shape}, "
-                f"expected {shape} ({path})"
-            )
-    encoder = None
-    if encoder_names:
-        try:
-            encoder = FourierEncoder.from_matrices(
-                arrays["enc_b_space"], arrays["enc_b_time"], seed=meta["encoder"]["seed"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"corrupt checkpoint: bad encoder: {exc!r} ({path})") from exc
-        if encoder.out_dim != cfg.input_dim:
-            raise CheckpointError(
-                f"corrupt checkpoint: encoder width {encoder.out_dim} != "
+                f"corrupt checkpoint: encoder width {2 * sum(dims)} != "
                 f"input_dim {cfg.input_dim} ({path})"
             )
+        shapes.update(enc_b_space=(dims[0], 3), enc_b_time=(dims[1], 1))
+    sizes = [math.prod(s) for s in shapes.values()]
+    payload = body[8 + meta_len:]
+    if len(payload) != 8 * sum(sizes):
+        raise CheckpointError(
+            f"corrupt checkpoint: payload holds {len(payload)} bytes, the stored "
+            f"architecture needs {8 * sum(sizes)} ({path})"
+        )
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"corrupt checkpoint: non-finite parameter value ({path})")
+    arrays = {name: v.reshape(shape) for (name, shape), v in
+              zip(shapes.items(), np.split(values, np.cumsum(sizes)[:-1]))}
+    encoder = None
+    if enc is not None:
+        encoder = FourierEncoder.from_matrices(arrays["enc_b_space"], arrays["enc_b_time"])
     model = InrModel(cfg, arrays, encoder)
     model.mode = meta.get("mode", "train")
     model.meta = meta.get("meta", {})

@@ -312,8 +312,9 @@ def iter_series(manifest: Sequence[tuple], *,
     Entries are sorted by time, and at least two distinct time points are
     required; both are checked here, before any file is read. The returned
     iterator reads one volume per step, in time order, and raises when a
-    volume's dims or spacing differ from the first volume's. It keeps no
-    reference to a volume it has handed out.
+    volume's dims or spacing differ from the first volume's, naming the
+    series, both files and both grids. It keeps no reference to a volume it
+    has handed out.
     """
     entries = [(Path(p), float(t)) for p, t in manifest]
     if len(entries) < 2:
@@ -324,12 +325,18 @@ def iter_series(manifest: Sequence[tuple], *,
     entries.sort(key=lambda e: e[1])
 
     def volumes():
-        grid = None
+        first = None
         for p, _ in entries:
             vol = read_nifti(p)
-            if grid is None:
-                grid = vol.dims, vol.spacing
-            _check_grid(vol, *grid)
+            if first is None:
+                first = p, vol.dims, vol.spacing
+            try:
+                _check_grid(vol, *first[1:])
+            except ValueError as exc:
+                raise ValueError(
+                    f"{exc}: {label} volume {p} has dims {vol.dims} and spacing "
+                    f"{vol.spacing}, its first volume {first[0]} has dims {first[1]} and "
+                    f"spacing {first[2]}") from None
             yield vol
             del vol
 

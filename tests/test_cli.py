@@ -18,7 +18,7 @@ from atlas4d.metrics import (
     tc,
     threshold_labels,
 )
-from atlas4d.network import MlpConfig, init_mlp, save_checkpoint
+from atlas4d.network import MlpConfig, init_mlp, load_checkpoint, save_checkpoint
 from atlas4d.volume_io import (
     Volume3D,
     format_time,
@@ -243,6 +243,18 @@ class TestStageOrder:
         assert rc == 1
         assert "manifest not found" in capsys.readouterr().err
 
+    def test_pretrain_names_the_volume_off_the_grid(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        paths = [tmp_path / f"v{i}.nii" for i in range(3)]
+        for p, dims in zip(paths, [(4, 4, 4), (4, 4, 4), (4, 5, 4)]):
+            write_nifti(Volume3D(dims, (1, 1, 1), np.ones(dims)), p)
+        manifest = tmp_path / "data.tsv"
+        write_manifest([(p, 21.0 + i) for i, p in enumerate(paths)], manifest)
+        assert _run("pretrain", "--config", str(cfg), "--set", f"data.manifest={manifest}") == 1
+        assert (f"error: dimension mismatch across series: series volume {paths[2]} has dims "
+                f"(4, 5, 4)") in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model1_pretrained.ckpt").exists()
+
     @staticmethod
     def _refined_pair(run, meta):
         run.mkdir()
@@ -259,6 +271,20 @@ class TestStageOrder:
         assert _run("infer", "--config", str(cfg)) == 1
         err = capsys.readouterr().err
         assert "no 'dims' meta" in err and "model1_refined.ckpt" in err
+
+    def test_infer_rejects_non_finite_checkpoint(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        run = tmp_path / "run"
+        self._refined_pair(run, {"time_range": [21.0, 26.0], "times": [21.0, 26.0],
+                                 "dims": [4, 4, 4]})
+        model = load_checkpoint(run / "model2_refined.ckpt")
+        model.weights[2][0, 0] = np.nan
+        save_checkpoint(model, run / "model2_refined.ckpt")
+        assert _run("infer", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert (f"error: corrupt checkpoint: non-finite parameter value "
+                f"({run / 'model2_refined.ckpt'})") in err
+        assert not (run / "recon").exists()
 
     @pytest.mark.parametrize("args, message", [
         (("--set", "infer.stage=best"), "infer.stage must be refined or pretrained, got 'best'"),
@@ -623,11 +649,16 @@ class TestEvalBoundary:
         (([21.0, 22.0, 23.0],), ([21.0, 22.0, 23.0, 24.0],),
          "recon and reference series do not match in shape"),
         (([21.0, 22.0, 23.0],), ([21.0, 22.0, 23.0], None, (4, 4, 5)),
-         "recon and reference series do not match in shape"),
+         "recon and reference series do not match in shape: {tmp}/recon.tsv has dims "
+         "(4, 4, 4), {tmp}/reference.tsv has dims (4, 4, 5)\n"),
         (([21.0, 22.0, 23.0], (2, (5, 4, 4), (1, 1, 1))), ([21.0, 22.0, 23.0],),
-         "dimension mismatch across series"),
+         "dimension mismatch across series: recon volume {tmp}/recon_2.nii has dims "
+         "(5, 4, 4) and spacing (1.0, 1.0, 1.0), its first volume {tmp}/recon_0.nii has "
+         "dims (4, 4, 4) and spacing (1.0, 1.0, 1.0)\n"),
         (([21.0, 22.0, 23.0],), ([21.0, 22.0, 23.0], (1, (4, 4, 4), (1, 1, 2))),
-         "spacing mismatch across series"),
+         "spacing mismatch across series: reference volume {tmp}/reference_1.nii has dims "
+         "(4, 4, 4) and spacing (1.0, 1.0, 2.0), its first volume {tmp}/reference_0.nii "
+         "has dims (4, 4, 4) and spacing (1.0, 1.0, 1.0)\n"),
         (([21.0],), ([21.0, 22.0],), "recon: need at least 2 entries"),
         (([21.0, 22.0, 23.0],), ([21.0, 22.0, 22.0],), "reference: duplicate time point"),
         (([21.0, 22.0, 23.5],), ([21.0, 22.0, 23.0],),
@@ -639,7 +670,7 @@ class TestEvalBoundary:
         self._series(tmp_path, "recon", *recon)
         self._series(tmp_path, "reference", *reference)
         assert self._eval(tmp_path) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(tmp=tmp_path)}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "metrics.tsv").exists()
 
     def test_missing_reference_manifest(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import struct
 import tracemalloc
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from atlas4d.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from atlas4d.network import _expected_shapes, _pack_container, _unpack_container
+from atlas4d.network import _expected_shapes
 from atlas4d.volume_io import coord_grid
 
 
@@ -651,17 +652,21 @@ class TestCheckpoint:
             load_checkpoint(p)
 
     def test_no_optimizer_state_saved(self, tmp_path):
+        model = self._model()
         p = tmp_path / "m.ckpt"
-        save_checkpoint(self._model(), p)
-        meta, arrays = _unpack_container(p.read_bytes(), p)
+        save_checkpoint(model, p)
+        meta, payload = _file_parts(p)
         assert "has_optimizer" not in meta
-        assert not [k for k in arrays if k.startswith("opt.")]
+        # The payload holds the state table and the encoder matrices, nothing more.
+        assert payload == _payload(_stored_arrays(model))
 
     def test_no_hidden_biases_saved(self, tmp_path):
+        model = self._model()
         p = tmp_path / "m.ckpt"
-        save_checkpoint(self._model(), p)
-        _, arrays = _unpack_container(p.read_bytes(), p)
-        assert [k for k in arrays if k[0] == "b" and k[1:].isdigit()] == ["b4"]
+        save_checkpoint(model, p)
+        names = [k for k in _stored_arrays(model) if k[0] == "b" and k[1:].isdigit()]
+        assert names == ["b4"]
+        assert _file_parts(p)[1] == _payload(_stored_arrays(model))
 
     def test_snapshot_round_trip_preserves_param_identity(self):
         model = self._model()
@@ -676,18 +681,57 @@ class TestCheckpoint:
             assert np.array_equal(params_after[k], snap[k])
 
 
-def _raw_checkpoint(meta_blob: bytes, entries) -> bytes:
-    """A checkpoint container built byte by byte, with a valid CRC.
+def _stored_arrays(model) -> dict[str, np.ndarray]:
+    """The arrays a checkpoint of `model` holds, in payload order."""
+    arrays = dict(model.state_dict())
+    if model.encoder is not None:
+        arrays.update(enc_b_space=model.encoder.b_space, enc_b_time=model.encoder.b_time)
+    return arrays
 
-    entries: (name, dtype_code, shape, raw_bytes) per array.
-    """
-    body = struct.pack("<II", 1, len(meta_blob)) + meta_blob
-    body += struct.pack("<I", len(entries))
-    for name, code, shape, raw in entries:
-        nm = name.encode("utf-8")
-        body += struct.pack("<H", len(nm)) + nm + struct.pack("<BB", code, len(shape))
-        body += struct.pack(f"<{len(shape)}q", *shape) + struct.pack("<Q", len(raw)) + raw
+
+def _payload(arrays: dict[str, np.ndarray], dtype="<f8") -> bytes:
+    return b"".join(np.ascontiguousarray(a, dtype=dtype).tobytes() for a in arrays.values())
+
+
+def _raw_checkpoint(meta_blob: bytes, payload: bytes, version: int = 2) -> bytes:
+    """A checkpoint built byte by byte from its documented layout, with a valid CRC."""
+    body = struct.pack("<II", version, len(meta_blob)) + meta_blob + payload
     return b"A4DCKPT\x00" + body + struct.pack("<I", zlib.crc32(body))
+
+
+def _file_parts(p) -> tuple[dict, bytes]:
+    """(meta, payload) of a checkpoint file, read by its documented layout."""
+    blob = p.read_bytes()
+    version, meta_len = struct.unpack_from("<II", blob, 8)
+    assert blob[:8] == b"A4DCKPT\x00" and version == 2
+    assert blob == _raw_checkpoint(blob[16:16 + meta_len], blob[16 + meta_len:-4])
+    return json.loads(blob[16:16 + meta_len]), blob[16 + meta_len:-4]
+
+
+def _v1_checkpoint(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """Bytes in the earlier tagged-container layout (version 1).
+
+    After the meta: u32 array count, then per array (by name) u16 name
+    length, name, u8 dtype code 0 (float64), u8 ndim, i64 shape, u64 byte
+    count and the raw bytes.
+    """
+    meta_blob = json.dumps(meta, sort_keys=True).encode()
+    body = struct.pack("<II", 1, len(meta_blob)) + meta_blob + struct.pack("<I", len(arrays))
+    for name in sorted(arrays):
+        a, nm = np.ascontiguousarray(arrays[name], dtype="<f8"), name.encode()
+        body += struct.pack("<H", len(nm)) + nm + struct.pack("<BB", 0, a.ndim)
+        body += struct.pack(f"<{a.ndim}q", *a.shape) + struct.pack("<Q", a.nbytes) + a.tobytes()
+    return b"A4DCKPT\x00" + body + struct.pack("<I", zlib.crc32(body))
+
+
+@st.composite
+def _encoded_models(draw):
+    enc = FourierEncoder(draw(st.integers(1, 5)), draw(st.integers(1, 4)),
+                         seed=draw(st.integers(0, 2**16)))
+    n_layers = draw(st.integers(2, 5))
+    cfg = MlpConfig(input_dim=enc.out_dim, hidden_width=draw(st.integers(1, 6)),
+                    n_layers=n_layers, skip_layers=draw(st.sets(st.integers(1, n_layers - 1))))
+    return init_mlp(cfg, seed=draw(st.integers(0, 2**16)), encoder=enc)
 
 
 class TestMalformedCheckpoint:
@@ -696,114 +740,174 @@ class TestMalformedCheckpoint:
     def _model(self):
         return TestCheckpoint()._model()
 
-    def _parts(self, tmp_path):
-        """(meta, arrays) exactly as save_checkpoint would write them."""
+    def _parts(self):
+        """(meta, arrays) as save_checkpoint writes them, arrays in payload order."""
         model = self._model()
-        p = tmp_path / "ok.ckpt"
-        save_checkpoint(model, p)
-        return _unpack_container(p.read_bytes(), p)
+        meta = {"kind": "inr_model", "mode": "train", "mlp": asdict(model.cfg),
+                "encoder": {"l_space": 6, "l_time": 2}, "meta": model.meta}
+        return meta, _stored_arrays(model)
 
-    def _write(self, tmp_path, blob):
+    def _write(self, tmp_path, meta, payload):
+        blob = meta if isinstance(meta, bytes) else json.dumps(meta, sort_keys=True).encode()
         p = tmp_path / "bad.ckpt"
-        p.write_bytes(blob)
+        p.write_bytes(_raw_checkpoint(blob, payload))
         return p
 
-    def test_unknown_dtype_code(self, tmp_path):
-        meta, _ = self._parts(tmp_path)
-        blob = _raw_checkpoint(json.dumps(meta).encode(), [("w1", 9, (2,), bytes(16))])
-        p = self._write(tmp_path, blob)
-        with pytest.raises(CheckpointError, match=r"unknown dtype code 9.*bad\.ckpt"):
+    def _rejects_length(self, p):
+        with pytest.raises(CheckpointError, match=r"payload holds \d+ bytes, the stored "
+                                                  r"architecture needs \d+ .*bad\.ckpt"):
             load_checkpoint(p)
 
     def test_byte_count_disagrees_with_shape(self, tmp_path):
-        meta, _ = self._parts(tmp_path)
-        blob = _raw_checkpoint(json.dumps(meta).encode(), [("w1", 0, (3,), bytes(16))])
-        p = self._write(tmp_path, blob)
-        with pytest.raises(CheckpointError, match=r"holds 16 bytes.*bad\.ckpt"):
-            load_checkpoint(p)
+        meta, arrays = self._parts()
+        self._rejects_length(self._write(tmp_path, meta, _payload(arrays) + bytes(4)))
+
+    @pytest.mark.parametrize("floats", [-1, 1], ids=["short", "long"])
+    def test_payload_one_float_off(self, tmp_path, floats):
+        meta, arrays = self._parts()
+        payload = _payload(arrays)
+        payload = payload[:-8] if floats < 0 else payload + bytes(8)
+        self._rejects_length(self._write(tmp_path, meta, payload))
 
     def test_meta_not_json(self, tmp_path):
-        p = self._write(tmp_path, _raw_checkpoint(b"{not json", []))
+        p = self._write(tmp_path, b"{not json", b"")
         with pytest.raises(CheckpointError, match=r"undecodable meta.*bad\.ckpt"):
             load_checkpoint(p)
 
     def test_meta_not_utf8(self, tmp_path):
-        p = self._write(tmp_path, _raw_checkpoint(b'{"kind": "\xff"}', []))
+        p = self._write(tmp_path, b'{"kind": "\xff"}', b"")
         with pytest.raises(CheckpointError, match=r"undecodable meta.*bad\.ckpt"):
             load_checkpoint(p)
 
     def test_meta_not_an_object(self, tmp_path):
-        p = self._write(tmp_path, _raw_checkpoint(b"[1, 2]", []))
+        p = self._write(tmp_path, b"[1, 2]", b"")
         with pytest.raises(CheckpointError, match=r"not an object.*bad\.ckpt"):
             load_checkpoint(p)
 
     def test_bad_mlp_meta(self, tmp_path):
-        meta, arrays = self._parts(tmp_path)
+        meta, arrays = self._parts()
         meta["mlp"]["n_layers"] = 1
-        p = self._write(tmp_path, _pack_container(meta, arrays))
+        p = self._write(tmp_path, meta, _payload(arrays))
         with pytest.raises(CheckpointError, match=r"bad mlp meta.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    def test_non_integer_width_in_mlp_meta(self, tmp_path):
+        # 5.0 would pass every size check and fail later as a TypeError.
+        meta, arrays = self._parts()
+        meta["mlp"]["hidden_width"] = 5.0
+        p = self._write(tmp_path, meta, _payload(arrays))
+        with pytest.raises(CheckpointError,
+                           match=r"bad mlp meta: .*hidden_width must be an integer, "
+                                 r"got 5\.0.*bad\.ckpt"):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("name", ["bn_rv1", "bn_rm2", "w2", "b4", "b1"])
     def test_wrong_shape(self, tmp_path, name):
-        meta, arrays = self._parts(tmp_path)
+        # An array of another size shifts every offset after it; only the
+        # payload length can show that.
+        meta, arrays = self._parts()
         arrays[name] = np.ones(7)  # no array of this model has 7 entries
-        p = self._write(tmp_path, _pack_container(meta, arrays))
-        with pytest.raises(CheckpointError, match=rf"array '{name}' is .*bad\.ckpt"):
-            load_checkpoint(p)
+        self._rejects_length(self._write(tmp_path, meta, _payload(arrays)))
 
     def test_wrong_dtype(self, tmp_path):
-        # Code 1 once meant float32; the container now holds float64 alone.
-        meta, _ = self._parts(tmp_path)
-        blob = _raw_checkpoint(json.dumps(meta).encode(), [("bn_rv1", 1, (5,), bytes(20))])
-        p = self._write(tmp_path, blob)
-        with pytest.raises(CheckpointError,
-                           match=r"unknown dtype code 1 for array 'bn_rv1'.*bad\.ckpt"):
-            load_checkpoint(p)
-        with pytest.raises(ValueError, match="unsupported array dtype float32"):
-            _pack_container(meta, {"bn_rv1": np.ones(5, dtype=np.float32)})
+        # The same values written as float32 fill half the payload.
+        meta, arrays = self._parts()
+        self._rejects_length(self._write(tmp_path, meta, _payload(arrays, "<f4")))
 
     @pytest.mark.parametrize("name", ["b1", "b3", "opt.m.w1", "opt.v.bn_g1"])
     def test_array_outside_the_model_rejected(self, tmp_path, name):
         # Hidden-layer biases and Adam moments, as older versions wrote them.
-        meta, arrays = self._parts(tmp_path)
+        meta, arrays = self._parts()
         shape = arrays[name.rsplit(".", 1)[-1]].shape if "." in name else (5,)
         arrays[name] = np.random.default_rng(0).normal(size=shape)
-        p = self._write(tmp_path, _pack_container(meta, arrays))
-        with pytest.raises(CheckpointError,
-                           match=rf"array '{name}' is not one of this model's.*bad\.ckpt"):
-            load_checkpoint(p)
+        self._rejects_length(self._write(tmp_path, meta, _payload(arrays)))
 
     def test_encoder_matrices_without_encoder_rejected(self, tmp_path):
-        meta, arrays = self._parts(tmp_path)
+        meta, arrays = self._parts()
         meta["encoder"] = None
-        p = self._write(tmp_path, _pack_container(meta, arrays))
-        with pytest.raises(CheckpointError, match=r"array 'enc_b_space' is not one.*bad\.ckpt"):
-            load_checkpoint(p)
+        self._rejects_length(self._write(tmp_path, meta, _payload(arrays)))
+
+    def test_encoder_named_without_matrices_rejected(self, tmp_path):
+        meta, arrays = self._parts()
+        del arrays["enc_b_space"], arrays["enc_b_time"]
+        self._rejects_length(self._write(tmp_path, meta, _payload(arrays)))
 
     def test_missing_array(self, tmp_path):
-        meta, arrays = self._parts(tmp_path)
+        meta, arrays = self._parts()
         del arrays["bn_g3"]
-        p = self._write(tmp_path, _pack_container(meta, arrays))
-        with pytest.raises(CheckpointError, match=r"missing array 'bn_g3'.*bad\.ckpt"):
-            load_checkpoint(p)
+        self._rejects_length(self._write(tmp_path, meta, _payload(arrays)))
 
     def test_encoder_width_mismatch(self, tmp_path):
-        meta, arrays = self._parts(tmp_path)
+        meta, arrays = self._parts()
+        meta["encoder"]["l_time"] = 5
         arrays["enc_b_time"] = np.ones((5, 1))
-        p = self._write(tmp_path, _pack_container(meta, arrays))
-        with pytest.raises(CheckpointError, match=r"encoder width.*bad\.ckpt"):
+        p = self._write(tmp_path, meta, _payload(arrays))
+        with pytest.raises(CheckpointError, match=r"encoder width 22 != input_dim 16.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("encoder", [{"seed": 9}, {"l_space": 6}, {"l_space": 0, "l_time": 8},
+                                         {"l_space": 6.0, "l_time": 2}, [6, 2]])
+    def test_bad_encoder_meta(self, tmp_path, encoder):
+        meta, arrays = self._parts()
+        meta["encoder"] = encoder
+        p = self._write(tmp_path, meta, _payload(arrays))
+        with pytest.raises(CheckpointError, match=r"bad encoder meta.*bad\.ckpt"):
             load_checkpoint(p)
 
     def test_unknown_mode(self, tmp_path):
-        meta, arrays = self._parts(tmp_path)
+        meta, arrays = self._parts()
         meta["mode"] = "serve"
-        p = self._write(tmp_path, _pack_container(meta, arrays))
+        p = self._write(tmp_path, meta, _payload(arrays))
         with pytest.raises(CheckpointError, match=r"unknown mode.*bad\.ckpt"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("name, value", [("w1", np.nan), ("bn_rv3", np.inf),
+                                             ("enc_b_time", -np.inf)])
+    def test_non_finite_value_rejected(self, tmp_path, name, value):
+        meta, arrays = self._parts()
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[-1] = value
+        p = self._write(tmp_path, meta, _payload(arrays))
+        with pytest.raises(CheckpointError, match=r"^corrupt checkpoint: non-finite parameter "
+                                                  r"value \(.*bad\.ckpt\)$"):
+            load_checkpoint(p)
+
+    def test_parent_format_fails_with_version_mismatch(self, tmp_path):
+        meta, arrays = self._parts()
+        meta["encoder"] = {"seed": 9}
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(_v1_checkpoint(meta, arrays))
+        with pytest.raises(CheckpointError, match=r"version mismatch: file has 1, expected 2 "
+                                                  r"\(.*bad\.ckpt\)"):
+            load_checkpoint(p)
+
     def test_well_formed_parts_load(self, tmp_path):
-        meta, arrays = self._parts(tmp_path)
-        p = self._write(tmp_path, _pack_container(meta, arrays))
+        meta, arrays = self._parts()
+        p = self._write(tmp_path, meta, _payload(arrays))
         back = load_checkpoint(p)
         assert back.meta == self._model().meta
+        saved = tmp_path / "ok.ckpt"
+        save_checkpoint(self._model(), saved)
+        assert saved.read_bytes() == p.read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=_encoded_models())
+    def test_round_trip_with_encoder(self, tmp_path_factory, model):
+        p = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        model.forward(np.random.default_rng(0).normal(size=(8, model.cfg.input_dim)))
+        save_checkpoint(model, p)
+        back = load_checkpoint(p)
+        want, got = _stored_arrays(model), _stored_arrays(back)
+        assert list(got) == list(want)
+        for k, v in want.items():
+            assert got[k].shape == v.shape and got[k].tobytes() == v.tobytes(), k
+        assert (back.encoder.l_space, back.encoder.l_time) == (model.encoder.l_space,
+                                                               model.encoder.l_time)
+        meta, payload = _file_parts(p)
+        assert meta["encoder"] == {"l_space": model.encoder.l_space,
+                                   "l_time": model.encoder.l_time}
+        # One float fewer or more fails the one length check.
+        for bad in (payload[:-8], payload + bytes(8)):
+            p.write_bytes(_raw_checkpoint(json.dumps(meta, sort_keys=True).encode(), bad))
+            with pytest.raises(CheckpointError, match="payload holds"):
+                load_checkpoint(p)

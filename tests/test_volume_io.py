@@ -367,8 +367,12 @@ class TestSeries:
         p1, p2 = tmp_path / "a.nii", tmp_path / "b.nii"
         write_nifti(_vol((3, 3, 3)), p1)
         write_nifti(_vol((4, 3, 3)), p2)
-        with pytest.raises(ValueError, match="mismatch"):
-            load_series([(p1, 1.0), (p2, 2.0)])
+        with pytest.raises(ValueError) as info:
+            load_series([(p1, 1.0), (p2, 2.0)], label="training")
+        assert str(info.value) == (
+            f"dimension mismatch across series: training volume {p2} has dims (4, 3, 3) and "
+            f"spacing (1.0, 1.0, 1.0), its first volume {p1} has dims (3, 3, 3) and spacing "
+            f"(1.0, 1.0, 1.0)")
 
     def test_too_few_entries(self, tmp_path):
         entries = self._write_series(tmp_path, [21.0])
@@ -390,8 +394,11 @@ class TestSeries:
         assert list(times) == [21.0, 22.0, 23.0, 24.0]
         for want in (1, 2, 0):
             assert np.array_equal(next(volumes).data, read_nifti(entries[want][0]).data)
-        with pytest.raises(ValueError, match="spacing mismatch across series"):
+        with pytest.raises(ValueError, match="spacing mismatch across series") as info:
             next(volumes)
+        assert f"series volume {p_bad} has dims (3, 3, 3) and spacing (1.0, 1.0, 2.0)" in str(
+            info.value)
+        assert f"first volume {entries[1][0]} has dims (3, 3, 3)" in str(info.value)
 
     def test_manifest_round_trip(self, tmp_path):
         entries = self._write_series(tmp_path, [21.0, 22.5, 24.0])
