@@ -213,7 +213,7 @@ def _load_training_series(cfg: dict):
             f"training manifest not found: {manifest_path} (run phantom first "
             "or set data.manifest)"
         )
-    series = load_series(read_manifest(manifest_path))
+    series = load_series(read_manifest(manifest_path), label=f"training series {manifest_path}")
     mask = None
     mask_path = cfg["data.mask"]
     if mask_path is not None:

@@ -69,37 +69,17 @@ class FourierEncoder:
         """
         return np.concatenate(_cos_sin(xyz, self.b_space), axis=1)
 
+    def encode_time(self, t) -> np.ndarray:
+        """The [cos_time, sin_time] block alone for n times.
 
-def row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b with each row's bits independent of how many rows a has.
-
-    numpy hands a one-row product to gemv, and OpenBLAS sums products under
-    5 columns wide in an order that depends on the row count; both round
-    unlike gemm. Such narrow products are formed row by row with einsum,
-    and a single row goes through gemm doubled. Wider products rely on
-    gemm with a C-contiguous b (a transposed b takes small-size kernels
-    that round differently). That holds only for the shapes it was checked
-    on: with OpenBLAS 0.3.31 (Haswell kernels) an eval-mode forward at
-    hidden widths 48 and 256 is row-independent, but at every width from 9
-    up whose remainder mod 8 is 1 to 4 (9-12, 17-20, 25-28, ...) a call of
-    a few dozen rows rounds some rows differently from a call of thousands.
-
-    With `out`, the product is written there and `out` is returned. `a` and
-    `out` may be row-strided views, such as the leading columns of a wider
-    buffer: gemm reads and writes them in place with a larger leading
-    dimension, so the same guards give the same bits.
-    """
-    if b.shape[1] < 5:
-        return np.einsum("ij,jk->ik", a, b, out=out)
-    if a.shape[0] == 1:
-        y = (np.concatenate([a, a]) @ b)[:1]
-        if out is None:
-            return y
-        out[:] = y
-        return out
-    return np.matmul(a, b, out=out)
+        Equals the trailing 2 * l_time columns of `encode` bit for bit.
+        """
+        t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("non-finite coordinate input")
+        return np.concatenate(_cos_sin(t, self.b_time), axis=1)
 
 
 def _cos_sin(x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    arg = 2.0 * np.pi * row_matmul(x, b.T)
+    arg = 2.0 * np.pi * (x @ b.T)
     return np.cos(arg), np.sin(arg)

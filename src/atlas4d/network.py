@@ -10,8 +10,8 @@ concatenated back onto the hidden state, so the following layer sees
 hidden_width + input_dim inputs.
 
 One table, `_expected_shapes`, names every array of a model and gives its
-shape. `InrModel.state` maps those names to the arrays; init, params and
-state_dict read names from it, a checkpoint stores the arrays in its order,
+shape. `InrModel.state` maps those names to the arrays; init and params
+read names from it, a checkpoint stores the arrays in its order,
 and the per-layer lists (`weights`, `bn_gamma`, ...) hold the same array
 objects.
 
@@ -54,9 +54,10 @@ by every point at one time, and the spatial terms (`space_terms`) do not
 depend on time; layer 1 has no hidden product. So `reconstruct` forms the
 spatial terms once per chunk for all times and the time terms once per
 time for all chunks; `eval_forward` is the one eval-mode layer loop. Its
-products go through `encoding.row_matmul`, so a row's output does not
-depend on how many rows share a call. A model without an encoder treats
-all input columns as spatial.
+products are plain matmuls, so the same inputs give the same bits, but a
+row's last bits may depend on how many rows share a call (BLAS picks
+kernels by shape). A model without an encoder treats all input columns as
+spatial.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import FourierEncoder, row_matmul
+from .encoding import FourierEncoder
 from .volume_io import write_atomic
 
 
@@ -185,10 +186,6 @@ class InrModel:
         """Live references to trainable parameters: state minus running statistics."""
         return {k: v for k, v in self.state.items() if not k.startswith("bn_r")}
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Live references to every array: parameters plus running statistics."""
-        return dict(self.state)
-
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.state.items()}
 
@@ -281,8 +278,6 @@ class InrModel:
 
         Layer j's entry has shape (in_width(j) + 1, out_width(j)): the
         folded weight's transpose with the folded bias as its last row.
-        Each is C-contiguous, and so is each row block the products take:
-        the layout encoding.row_matmul relies on.
         """
         cfg = self.cfg
         folded = []
@@ -312,7 +307,7 @@ class InrModel:
         these terms; see eval_forward.
         """
         k = x_space.shape[1]
-        return {j: row_matmul(x_space, folded[j - 1][lo:lo + k])
+        return {j: x_space @ folded[j - 1][lo:lo + k]
                 for j, lo in self._input_layers()}
 
     def time_terms(self, folded: list[np.ndarray], x_time: np.ndarray) -> dict[int, np.ndarray]:
@@ -320,12 +315,11 @@ class InrModel:
 
         x_time is the input's trailing columns: one row per point, or one
         row that eval_forward broadcasts to every point at that time.
-        row_matmul gives a row the same bits either way.
         """
         terms = {}
         for j, _ in self._input_layers():
             wb = folded[j - 1]
-            c = terms[j] = row_matmul(x_time, wb[wb.shape[0] - 1 - x_time.shape[1]:-1])
+            c = terms[j] = x_time @ wb[wb.shape[0] - 1 - x_time.shape[1]:-1]
             c += wb[-1]
         return terms
 
@@ -338,9 +332,7 @@ class InrModel:
         are only read. The pre-activation of a layer that reads the raw
         input is h @ W_h'.T + c + x_space @ W_space'.T, summed in that order,
         or x_space @ W_space'.T + c at layer 1. Every eval-mode prediction
-        runs this loop, so a row's output does not depend on how rows were
-        grouped into calls or on which calls shared their terms, as far as
-        its products do not (encoding.row_matmul).
+        runs this loop.
         """
         width = self.cfg.hidden_width
         rows = space[1].shape[0]
@@ -350,11 +342,11 @@ class InrModel:
             if j == 1:
                 out = np.add(space[1], time[1], out=out)
             elif j in space:
-                out = row_matmul(src[:, :width], wb[:width], out=out)
+                out = np.matmul(src[:, :width], wb[:width], out=out)
                 out += time[j]
                 out += space[j]
             else:
-                out = row_matmul(src, wb, out=out)
+                out = np.matmul(src, wb, out=out)
             if j == len(folded):
                 return out.ravel()
             np.maximum(dst, 0.0, out=dst)

@@ -340,9 +340,10 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     model encodes only the spatial block of the features and forms its
     InrModel.space_terms once; for each time it then runs
     InrModel.eval_forward, the loop behind every eval-mode prediction, so
-    values equal average_predict's bit for bit wherever its products are
-    row-independent (see encoding.row_matmul for the widths where OpenBLAS
-    breaks that at small chunks). Beyond the output volumes, memory is
+    values agree with average_predict's to rounding (rows grouped into
+    calls of other sizes may round differently). A rerun with the same
+    arguments gives the same bits, and so does a time requested alone or
+    among other times. Beyond the output volumes, memory is
     bounded by one model's spatial terms, (1 + number of skip layers) *
     chunk * hidden_width floats, which are dropped before the next model's
     are formed, plus one chunk's coordinates and encoding and the two
@@ -365,13 +366,11 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     models = (m1, m2)
     folded = [m.fold() for m in models]
 
-    # Time terms from the encodings of (0, 0, 0, t): per model, one per time.
-    t_points = np.zeros((times.size, 4))
-    t_points[:, 3] = t_norm
-    space_dim = 2 * m1.encoder.l_space
+    # One time-term call per model and time, on that time's one encoded row,
+    # so a time's volume does not depend on which other times are requested.
     time_terms = []
     for m, f in zip(models, folded):
-        t_block = m.encoder.encode(t_points)[:, space_dim:]
+        t_block = m.encoder.encode_time(t_norm)
         time_terms.append([m.time_terms(f, t_block[k:k + 1]) for k in range(times.size)])
     bufs = {w: eval_buffers(min(chunk, n), w) for w in {m.cfg.hidden_width for m in models}}
 

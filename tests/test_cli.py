@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 import threading
 import weakref
 
@@ -251,8 +252,23 @@ class TestStageOrder:
         manifest = tmp_path / "data.tsv"
         write_manifest([(p, 21.0 + i) for i, p in enumerate(paths)], manifest)
         assert _run("pretrain", "--config", str(cfg), "--set", f"data.manifest={manifest}") == 1
-        assert (f"error: dimension mismatch across series: series volume {paths[2]} has dims "
-                f"(4, 5, 4)") in capsys.readouterr().err
+        assert (f"error: dimension mismatch across series: training series {manifest} volume "
+                f"{paths[2]} has dims (4, 5, 4)") in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model1_pretrained.ckpt").exists()
+
+    @pytest.mark.parametrize("times, message", [
+        ([21.0], "need at least 2 entries"),
+        ([21.0, 22.0, 21.0], "duplicate time point"),
+    ], ids=["one-entry", "duplicate-time"])
+    def test_pretrain_names_the_manifest_of_a_bad_series(self, tmp_path, capsys, times, message):
+        cfg = _write_config(tmp_path)
+        paths = [tmp_path / f"v{i}.nii" for i in range(len(times))]
+        for p in paths:
+            write_nifti(Volume3D((4, 4, 4), (1, 1, 1), np.ones((4, 4, 4))), p)
+        manifest = tmp_path / "data.tsv"
+        write_manifest(list(zip(paths, times)), manifest)
+        assert _run("pretrain", "--config", str(cfg), "--set", f"data.manifest={manifest}") == 1
+        assert f"error: training series {manifest}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model1_pretrained.ckpt").exists()
 
     @staticmethod
@@ -503,6 +519,31 @@ class TestPipeline:
         assert [t for _, t in entries] == [21.5]
         vol = read_nifti(entries[0][0])
         assert vol.dims == (32, 32, 32)
+
+    # Width 12 is one where OpenBLAS 0.3.31 rounds ragged calls unlike full
+    # ones; None copies the trained checkpoints as they are.
+    @pytest.mark.parametrize("width", [None, 12, 48])
+    def test_infer_time_alone_equals_time_among_others(self, finished_run, tmp_path, width):
+        src = finished_run[0] / "run"
+        run = tmp_path / "run"
+        run.mkdir()
+        for i in (1, 2):
+            name = f"model{i}_refined.ckpt"
+            if width is None:
+                shutil.copy(src / name, run / name)
+                continue
+            enc = FourierEncoder(8, 4, seed=i)
+            model = init_mlp(MlpConfig(input_dim=enc.out_dim, hidden_width=width),
+                             seed=i, encoder=enc)
+            model.out_bias[:] = 0.5  # inside the [0, 1] clip
+            model.meta = load_checkpoint(src / name).meta
+            save_checkpoint(model, run / name)
+        cfg = _write_config(tmp_path)
+        recon = run / "recon" / "recon_w21.5.nii"
+        assert _run("infer", "--config", str(cfg), "--times", "21.5") == 0
+        alone = recon.read_bytes()
+        assert _run("infer", "--config", str(cfg), "--times", "21,21.5,22") == 0
+        assert recon.read_bytes() == alone
 
     def test_infer_removes_stale_recon_files(self, finished_run):
         tmp_path, cfg = finished_run

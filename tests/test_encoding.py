@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from atlas4d.encoding import FourierEncoder, row_matmul
+from atlas4d.encoding import FourierEncoder
 
 
 def test_default_feature_length():
@@ -113,16 +116,19 @@ def test_batch_matches_single():
         assert np.allclose(batch[i], enc.encode(pts[i]), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("rows, cols", [(7, 3), (1, 9), (7, 9)])  # einsum, doubled row, gemm
-def test_row_matmul_into_strided_out_matches_return(rows, cols):
-    # out= writes the leading columns of a wider buffer, as eval mode does.
-    rng = np.random.default_rng(5)
-    buf = rng.normal(size=(rows, 12))
-    a = buf[:, :10]
-    b = rng.normal(size=(10, cols))
-    want = row_matmul(a, b)
-    dst = np.full((rows, cols + 1), 7.0)
-    got = row_matmul(a, b, out=dst[:, :cols])
-    assert np.shares_memory(got, dst)
-    assert np.array_equal(dst[:, :cols], want)
-    assert np.all(dst[:, cols] == 7.0)
+@settings(max_examples=100, deadline=None)
+@given(l_space=st.integers(1, 20), l_time=st.integers(1, 20), seed=st.integers(0, 2**16),
+       points=st.integers(1, 30).flatmap(lambda n: arrays(
+           np.float64, (n, 4), elements=st.floats(-2.0, 2.0, allow_nan=False))))
+def test_encode_is_space_block_then_time_block(l_space, l_time, seed, points):
+    enc = FourierEncoder(l_space, l_time, seed=seed)
+    parts = np.concatenate([enc.encode_space(points[:, :3]), enc.encode_time(points[:, 3])],
+                           axis=1)
+    assert np.array_equal(enc.encode(points), parts)
+
+
+def test_encode_time_rejects_non_finite_input():
+    enc = FourierEncoder(2, 2, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            enc.encode_time(np.array([0.0, bad]))

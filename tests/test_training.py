@@ -289,7 +289,7 @@ class TestPretrain:
         def run():
             model = _tiny_model(series, seed=9)
             model, losses = pretrain(series, [0, 2], cfg, model)
-            return model.state_dict(), losses
+            return model.state, losses
 
         s1, l1 = run()
         s2, l2 = run()
@@ -379,7 +379,7 @@ class TestRefine:
         snap_before = (m1.snapshot(), m2.snapshot())
         m1, m2, hist = refine(m1, m2, series, split, cfg)
         if hist.best_epoch == 0:
-            for k, v in m1.state_dict().items():
+            for k, v in m1.state.items():
                 assert np.array_equal(v, snap_before[0][k])
 
     @pytest.mark.parametrize("max_epochs, patience", [(6, 10), (200, 1)])
@@ -498,7 +498,7 @@ class TestRefine:
         m1, m2, hist = refine(*models, series, split, cfg)
         digest.update(np.array([hist.l1, hist.l2, hist.l_cross, hist.l_total]).tobytes())
         for model in (m1, m2):
-            state = model.state_dict()
+            state = model.state
             for name in sorted(state):
                 digest.update(name.encode())
                 digest.update(state[name].tobytes())
@@ -569,6 +569,33 @@ class TestAveragePredict:
             average_predict(m1, m2, np.zeros((1, 4)))
 
 
+# reconstruct and average_predict group rows into calls of other sizes, so
+# BLAS may round a voxel's last bits differently; on the normalized [0, 1]
+# scale they must agree to this bound.
+_RECON_TOL = 1e-12
+
+
+def _assert_matches(got, want, span=1.0):
+    assert np.max(np.abs(got - want)) <= _RECON_TOL * span
+
+
+def _acceptance_pair(series, width):
+    """Two 18-layer models with skips, batch norm moved off identity, and
+    outputs inside the [0, 1] clip."""
+    rng = np.random.default_rng(7)
+    models = []
+    for seed in (1, 2):
+        m = make_model(series, l_space=40, l_time=12, hidden_width=width, seed=seed)
+        for j in range(m.cfg.n_layers - 1):
+            m.bn_gamma[j][:] = rng.uniform(0.5, 1.5, width)
+            m.bn_beta[j][:] = rng.normal(scale=0.1, size=width)
+            m.bn_mean[j][:] = rng.normal(scale=0.1, size=width)
+            m.bn_var[j][:] = rng.uniform(0.5, 2.0, width)
+        m.out_bias[:] = 0.5
+        models.append(m)
+    return models
+
+
 class TestReconstruct:
     def _trained_pair(self):
         series = _constant_series(0.6, dims=(5, 5, 5))
@@ -623,16 +650,18 @@ class TestReconstruct:
             tn = normalize_times([t], series.time_range)[0]
             pts = np.column_stack([grid, np.full(grid.shape[0], tn)])
             want = np.clip(average_predict(m1, m2, pts), 0.0, 1.0)
+            span = 1.0
             if scale is not None:
-                want = want * (scale[1] - scale[0]) + scale[0]
-            assert np.array_equal(out.volumes[k].flat(), want), t
+                span = scale[1] - scale[0]
+                want = want * span + scale[0]
+            _assert_matches(out.volumes[k].flat(), want, span)
 
     @settings(max_examples=60, deadline=None)
     @given(n_layers=st.integers(2, 5), skip=st.sampled_from(["none", "first", "last"]),
            width=st.sampled_from([3, 6]), chunk=st.sampled_from([1, 7, 1000]),
            times=st.sampled_from([[1.5], [0.0, 1.5, 2.0, 3.0]]),
            seed=st.integers(0, 2**16))
-    def test_equals_average_predict_bitwise_random_architectures(
+    def test_equals_average_predict_random_architectures(
             self, n_layers, skip, width, chunk, times, seed):
         # A skip at n_layers - 1 feeds the raw input into the output layer.
         skips = {"none": (), "first": (1,), "last": (n_layers - 1,)}[skip]
@@ -657,25 +686,15 @@ class TestReconstruct:
             tn = normalize_times([t], series.time_range)[0]
             pts = np.column_stack([grid, np.full(grid.shape[0], tn)])
             want = np.clip(average_predict(*models, pts), 0.0, 1.0)
-            assert np.array_equal(out.volumes[k].flat(), want), t
+            _assert_matches(out.volumes[k].flat(), want)
 
     @pytest.mark.parametrize("chunk", [1, 17, 300])
-    def test_equals_average_predict_bitwise_at_acceptance_width(self, chunk):
+    def test_equals_average_predict_at_acceptance_width(self, chunk):
         # Width 48 with the default 18 layers and skips: products of
         # K = width + 1 into row-strided buffers, chunks of one row, a
         # partial chunk and one chunk past the grid.
         series = _constant_series()
-        rng = np.random.default_rng(7)
-        models = []
-        for seed in (1, 2):
-            m = make_model(series, l_space=40, l_time=12, hidden_width=48, seed=seed)
-            for j in range(m.cfg.n_layers - 1):
-                m.bn_gamma[j][:] = rng.uniform(0.5, 1.5, 48)
-                m.bn_beta[j][:] = rng.normal(scale=0.1, size=48)
-                m.bn_mean[j][:] = rng.normal(scale=0.1, size=48)
-                m.bn_var[j][:] = rng.uniform(0.5, 2.0, 48)
-            m.out_bias[:] = 0.5  # inside the [0, 1] clip
-            models.append(m)
+        models = _acceptance_pair(series, 48)
         dims, times = (7, 6, 5), [0.0, 1.5, 3.0]
         out = reconstruct(*models, dims, series.spacing, times, chunk=chunk)
         grid = coord_grid(dims)
@@ -683,9 +702,9 @@ class TestReconstruct:
             tn = normalize_times([t], series.time_range)[0]
             want = average_predict(*models, np.column_stack([grid, np.full(grid.shape[0], tn)]))
             assert np.all((want > 0.0) & (want < 1.0))
-            assert np.array_equal(out.volumes[k].flat(), want), t
+            _assert_matches(out.volumes[k].flat(), want)
 
-    def test_equals_average_predict_bitwise_at_default_chunk(self):
+    def test_equals_average_predict_at_default_chunk(self):
         # Width 48 at the default chunk, with a ragged last chunk: 17 * 16 * 16
         # voxels are one full chunk of 4096 and one of 256.
         series = _constant_series()
@@ -701,7 +720,27 @@ class TestReconstruct:
             tn = normalize_times([t], series.time_range)[0]
             want = average_predict(*models, np.column_stack([grid, np.full(grid.shape[0], tn)]))
             assert np.all((want > 0.0) & (want < 1.0))
-            assert np.array_equal(out.volumes[k].flat(), want), t
+            _assert_matches(out.volumes[k].flat(), want)
+
+    # Width 12 is one where OpenBLAS 0.3.31 rounds ragged calls unlike full
+    # ones; neither promise below depends on that.
+    @pytest.mark.parametrize("width", [12, 48])
+    def test_reruns_give_identical_bytes(self, width):
+        series = _constant_series()
+        models = _acceptance_pair(series, width)
+        dims, times = (7, 6, 5), [0.0, 1.5, 3.0]
+        a, b = (reconstruct(*models, dims, series.spacing, times, chunk=64) for _ in range(2))
+        for va, vb in zip(a.volumes, b.volumes):
+            assert va.data.tobytes() == vb.data.tobytes()
+
+    @pytest.mark.parametrize("width", [12, 48])
+    def test_time_alone_equals_time_among_others(self, width):
+        series = _constant_series()
+        models = _acceptance_pair(series, width)
+        dims = (7, 6, 5)
+        among = reconstruct(*models, dims, series.spacing, [0.0, 1.5, 3.0], chunk=64)
+        alone = reconstruct(*models, dims, series.spacing, [1.5], chunk=64)
+        assert alone.volumes[0].data.tobytes() == among.volumes[1].data.tobytes()
 
     def test_holds_one_models_space_terms(self):
         # Beyond its outputs, a reconstruct holds one model's spatial terms,
