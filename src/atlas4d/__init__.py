@@ -8,7 +8,6 @@ reconstructs volumes at arbitrary times and resolutions.
 
 from .encoding import FourierEncoder
 from .metrics import (
-    MetricsReport,
     dice,
     efc_slice,
     efc_volume,

@@ -7,6 +7,12 @@ Every command writes its outputs under the configured run directory and
 records them in an `artifacts_<command>.txt` manifest. All randomness
 flows from config seeds, so a rerun with the same config reproduces
 identical bytes.
+
+`eval` writes `metrics.tsv`: per time point the slice-entropy sharpness
+of the reconstruction over its axis-2 slices (`efc`), its class-1 DICE
+against the reference (`dice_1`) and its temporal consistency (`tc`), then
+the whole-series `mse` and the `psnr` with the reference maximum as peak.
+No config key changes the slice axis or the peak.
 """
 
 from __future__ import annotations
@@ -122,8 +128,6 @@ _SCHEMA = {
     "eval.recon_manifest": (Path, None),
     "eval.reference_manifest": (Path, None),
     "eval.label_threshold": (float, 0.75),
-    "eval.efc_axis": (int, inspect.signature(met.efc_volume).parameters["slice_axis"].default),
-    "eval.psnr_peak": (float, 0.0),  # 0 = use the reference maximum
 }
 
 
@@ -431,7 +435,6 @@ def cmd_eval(cfg: dict) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     # Thresholding gives class-1 maps, so DICE and TC score class 1.
     thr = cfg["eval.label_threshold"]
-    axis = cfg["eval.efc_axis"]
     efc, dice_row, recon_labels = [], [], []
     sq_sum, ref_max = 0.0, -math.inf
     for t in times:
@@ -451,30 +454,24 @@ def cmd_eval(cfg: dict) -> None:
             print(f"warning: empty {' and '.join(empty)} label map at time {format_time(t)} "
                   f"(no voxel above eval.label_threshold {format_time(thr)}); dice_1 and tc "
                   "count two empty maps as 100", file=sys.stderr)
-        efc.append(met.efc_volume(a, axis))
+        efc.append(met.efc_volume(a))
         dice_row.append(met.dice(la, lb, 1))
         recon_labels.append(la)
         sq_sum += met.squared_error_sum(a, b)
         ref_max = max(ref_max, float(b.data.max()))
         del a, b  # free this pair before the next one is read
 
-    tc_row = [met.tc(recon_labels, None, m, 1) for m in range(len(times))]
-    peak = cfg["eval.psnr_peak"]
-    if peak <= 0:
-        peak = ref_max
     g_mse = sq_sum / (len(times) * math.prod(recon_labels[0].dims))
-    g_psnr = met.psnr(g_mse, peak)
-
-    report = met.MetricsReport(
-        times=[float(t) for t in times],
-        efc=efc,
-        tc=tc_row,
-        dice=dice_row,
-        mse=g_mse,
-        psnr=g_psnr,
-    )
+    g_psnr = met.psnr(g_mse, ref_max)
+    rows = {
+        "efc": efc,
+        "dice_1": dice_row,
+        "tc": [met.tc(recon_labels, None, m, 1) for m in range(len(times))],
+        "mse": [g_mse],
+        "psnr": [g_psnr],
+    }
     out = run_dir / "metrics.tsv"
-    write_atomic(out, report.to_tsv())
+    write_atomic(out, met.report_tsv(times, rows))
     _write_artifacts(run_dir, "eval", [out])
     print(f"eval: mse {g_mse:.4e}, psnr {g_psnr:.2f} dB, report at {out}")
 

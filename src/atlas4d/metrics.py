@@ -5,13 +5,13 @@ All operations are pure. Sharpness is a normalized per-slice intensity
 entropy in [0, 1]; lower values mean sharper slices. Temporal consistency
 of a label series at time index m is the mean DICE between this time
 point's label map and each temporal neighbor's (m +/- 1, m +/- 2, where
-they exist), with no registration between time points.
+they exist), with no registration between time points. report_tsv
+writes the `atlas4d eval` table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -157,43 +157,15 @@ def threshold_labels(vol: Volume3D, threshold: float) -> LabelVolume:
 
 
 # ---------------------------------------------------------------------------
-# Aggregate report
+# Report
 
 
-@dataclass
-class MetricsReport:
-    """Per-time-point metrics plus global fidelity versus a reference.
+def report_tsv(times: Sequence[float], rows: dict[str, Sequence[float]]) -> str:
+    """Tab-separated table: a `metric` header of times, then one row per name.
 
-    `dice` is the class-1 DICE against the reference, written as `dice_1`.
+    Rows are written in the dict's order, each cell as `.6g`; header times
+    use format_time, so close times get distinct columns.
     """
-
-    times: list[float]
-    efc: list[float]
-    tc: list[float]
-    dice: list[float]
-    mse: float = math.nan
-    psnr: float = math.nan
-
-    def __post_init__(self):
-        n = len(self.times)
-        for name, vals in (("efc", self.efc), ("dice", self.dice), ("tc", self.tc)):
-            if len(vals) != n:
-                raise ValueError(f"{name} length does not match times")
-        if any(v < 0 for v in self.efc):
-            raise ValueError("efc values must be >= 0")
-        if any(not 0.0 <= v <= 100.0 for v in list(self.dice) + list(self.tc)):
-            raise ValueError("dice/tc values must lie in [0, 100]")
-
-    def to_tsv(self) -> str:
-        """Tab-separated table: metric rows by time-point columns."""
-        def row(name, vals):
-            return name + "\t" + "\t".join(f"{v:.6g}" for v in vals)
-
-        return "\n".join([
-            "metric\t" + "\t".join(format_time(t) for t in self.times),
-            row("efc", self.efc),
-            row("dice_1", self.dice),
-            row("tc", self.tc),
-            row("mse", [self.mse]),
-            row("psnr", [self.psnr]),
-        ]) + "\n"
+    lines = ["metric\t" + "\t".join(format_time(t) for t in times)]
+    lines += [name + "\t" + "\t".join(f"{v:.6g}" for v in vals) for name, vals in rows.items()]
+    return "\n".join(lines) + "\n"

@@ -541,6 +541,15 @@ def load_checkpoint(path) -> InrModel:
         cfg = MlpConfig(**{f.name: meta["mlp"][f.name] for f in fields(MlpConfig)})
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint: bad mlp meta: {exc!r} ({path})") from exc
+    payload = body[8 + meta_len:]
+    # Batch norm alone holds 4 * hidden_width values per hidden layer; a
+    # shorter payload fails before the table of a huge architecture is built.
+    bn_bytes = 8 * 4 * cfg.hidden_width * (cfg.n_layers - 1)
+    if len(payload) < bn_bytes:
+        raise CheckpointError(
+            f"corrupt checkpoint: payload holds {len(payload)} bytes, the stored "
+            f"architecture needs more than {bn_bytes} ({path})"
+        )
     shapes = _expected_shapes(cfg)
     enc = meta.get("encoder")
     if enc is not None:
@@ -554,7 +563,6 @@ def load_checkpoint(path) -> InrModel:
             )
         shapes.update(enc_b_space=(dims[0], 3), enc_b_time=(dims[1], 1))
     sizes = [math.prod(s) for s in shapes.values()]
-    payload = body[8 + meta_len:]
     if len(payload) != 8 * sum(sizes):
         raise CheckpointError(
             f"corrupt checkpoint: payload holds {len(payload)} bytes, the stored "

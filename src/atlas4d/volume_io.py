@@ -216,9 +216,9 @@ def read_nifti(path) -> Volume3D:
         raise NiftiError(f"corrupt file: pixdim {spacing} is not positive and finite ({path})")
 
     (vox_offset_f,) = struct.unpack_from(end + "f", raw, 108)
+    if not _HEADER_SIZE <= vox_offset_f < math.inf:  # NaN fails too
+        raise NiftiError(f"corrupt file: vox_offset {vox_offset_f:g} ({path})")
     vox_offset = int(vox_offset_f)
-    if vox_offset < _HEADER_SIZE:
-        raise NiftiError(f"corrupt file: vox_offset {vox_offset} ({path})")
     (scl_slope,) = struct.unpack_from(end + "f", raw, 112)
     (scl_inter,) = struct.unpack_from(end + "f", raw, 116)
 

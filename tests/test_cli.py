@@ -1,6 +1,8 @@
 import hashlib
+import math
 import os
 import shutil
+import struct
 import threading
 import weakref
 
@@ -11,10 +13,10 @@ from atlas4d import cli, phantom, volume_io
 from atlas4d.cli import ConfigError, load_config, main
 from atlas4d.encoding import FourierEncoder
 from atlas4d.metrics import (
-    MetricsReport,
     dice,
     efc_volume,
     psnr,
+    report_tsv,
     series_mse,
     tc,
     threshold_labels,
@@ -81,10 +83,12 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         # `threads` is rejected too: BLAS threads are set in the environment;
         # `eval.tc_class` too: thresholded maps only hold class 1; and the
-        # `phantom.level_*` keys: the CLI phantom uses PhantomConfig's levels
+        # `phantom.level_*` keys: the CLI phantom uses PhantomConfig's levels;
+        # `eval.psnr_peak` and `eval.efc_axis`: the peak is the reference
+        # maximum, and EFC is over axis-2 slices
         for line in ("not.a.key = 1", "threads = 2", "eval.tc_class = 1",
                      "phantom.level_background = 0", "phantom.level_tissue = 0.5",
-                     "phantom.level_inner = 1"):
+                     "phantom.level_inner = 1", "eval.psnr_peak = 1", "eval.efc_axis = 2"):
             cfg = tmp_path / "bad.cfg"
             cfg.write_text(f"run_dir = out\n{line}\n")
             assert _run("phantom", "--config", str(cfg)) == 1
@@ -97,7 +101,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("item", [
         "train.lambda=nan", "train.pretrain_lr=nan", "mlp.bn_epsilon=nan",
-        "eval.psnr_peak=nan", "phantom.noise_sigma=nan", "phantom.time_end=inf",
+        "phantom.noise_sigma=nan", "phantom.time_end=inf",
         "train.refine_lr=-inf", "infer.times=21,nan,23",
     ])
     def test_non_finite_value_rejected(self, tmp_path, capsys, item):
@@ -270,6 +274,22 @@ class TestStageOrder:
         assert _run("pretrain", "--config", str(cfg), "--set", f"data.manifest={manifest}") == 1
         assert f"error: training series {manifest}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model1_pretrained.ckpt").exists()
+
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_pretrain_names_a_volume_with_non_finite_vox_offset(self, tmp_path, capsys, offset):
+        cfg = _write_config(tmp_path)
+        paths = [tmp_path / f"v{i}.nii" for i in range(3)]
+        for p in paths:
+            write_nifti(Volume3D((4, 4, 4), (1, 1, 1), np.ones((4, 4, 4))), p)
+        blob = bytearray(paths[1].read_bytes())
+        struct.pack_into("<f", blob, 108, offset)
+        paths[1].write_bytes(bytes(blob))
+        manifest = tmp_path / "data.tsv"
+        write_manifest([(p, 21.0 + i) for i, p in enumerate(paths)], manifest)
+        assert _run("pretrain", "--config", str(cfg), "--set", f"data.manifest={manifest}") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: corrupt file: vox_offset {offset} ({paths[1]})"]
+        assert not (tmp_path / "run").exists()
 
     @staticmethod
     def _refined_pair(run, meta):
@@ -479,16 +499,16 @@ class TestPipeline:
         recon_labels = [threshold_labels(v, 0.09) for v in recon.volumes]
         ref_labels = [threshold_labels(v, 0.09) for v in ref.volumes]
         mse = series_mse(recon, ref)
-        want = MetricsReport(
-            times=[float(t) for t in recon.times],
-            efc=[efc_volume(v, 2) for v in recon.volumes],
-            tc=[tc(recon_labels, None, m, 1) for m in range(recon.n_times)],
-            dice=[dice(a, b, 1) for a, b in zip(recon_labels, ref_labels)],
-            mse=mse,
-            psnr=psnr(mse, float(max(v.data.max() for v in ref.volumes))),
-        )
-        assert 0.0 < min(want.dice) < 100.0
-        assert (run / "metrics.tsv").read_bytes() == want.to_tsv().encode()
+        rows = {
+            "efc": [efc_volume(v, 2) for v in recon.volumes],
+            "dice_1": [dice(a, b, 1) for a, b in zip(recon_labels, ref_labels)],
+            "tc": [tc(recon_labels, None, m, 1) for m in range(recon.n_times)],
+            "mse": [mse],
+            "psnr": [psnr(mse, float(max(v.data.max() for v in ref.volumes)))],
+        }
+        assert 0.0 < min(rows["dice_1"]) < 100.0
+        want = report_tsv([float(t) for t in recon.times], rows)
+        assert (run / "metrics.tsv").read_bytes() == want.encode()
 
     def test_eval_holds_at_most_two_volumes(self, finished_run, monkeypatch):
         # Every volume eval reads is tracked by a weak reference, wherever

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from atlas4d.metrics import (
     BackgroundSliceError,
-    MetricsReport,
     dice,
     efc_slice,
     efc_volume,
     msd_temporal,
     psnr,
+    report_tsv,
     series_mse,
     tc,
     threshold_labels,
@@ -298,9 +298,9 @@ class TestLabelDtype:
 class TestReport:
     def test_tsv_layout(self):
         # The complete text: perfbench and users parse these rows.
-        rep = MetricsReport(times=[21.0, 22.5], efc=[0.3, 0.3123456789], tc=[90.0, 91.0],
-                            dice=[50.0, 100.0 / 3.0], mse=1e-3, psnr=30.0)
-        assert rep.to_tsv() == (
+        rows = {"efc": [0.3, 0.3123456789], "dice_1": [50.0, 100.0 / 3.0],
+                "tc": [90.0, 91.0], "mse": [1e-3], "psnr": [30.0]}
+        assert report_tsv([21.0, 22.5], rows) == (
             "metric\t21\t22.5\n"
             "efc\t0.3\t0.312346\n"
             "dice_1\t50\t33.3333\n"
@@ -311,18 +311,6 @@ class TestReport:
 
     def test_header_times_are_exact(self):
         # Close times get distinct columns; whole and half weeks stay short.
-        rep = MetricsReport(times=[21.4285714, 21.4285719, 22.0, 22.5],
-                            efc=[0.3] * 4, tc=[90.0] * 4, dice=[50.0] * 4)
-        header = rep.to_tsv().split("\n")[0].split("\t")
+        text = report_tsv([21.4285714, 21.4285719, 22.0, 22.5], {"efc": [0.3] * 4})
+        header = text.split("\n")[0].split("\t")
         assert header == ["metric", "21.4285714", "21.4285719", "22", "22.5"]
-
-    def test_length_validation(self):
-        for row in ("efc", "dice", "tc"):
-            rows = {"efc": [0.1, 0.2], "dice": [1.0, 2.0], "tc": [1.0, 2.0]}
-            rows[row] = rows[row][:1]
-            with pytest.raises(ValueError, match=f"{row} length"):
-                MetricsReport(times=[1.0, 2.0], **rows)
-
-    def test_percent_range_validation(self):
-        with pytest.raises(ValueError, match=r"\[0, 100\]"):
-            MetricsReport(times=[1.0], efc=[0.1], tc=[50.0], dice=[100.5])

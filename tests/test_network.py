@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from atlas4d import network
 from atlas4d.encoding import FourierEncoder
 from atlas4d.network import (
     CheckpointError,
@@ -758,6 +759,21 @@ class TestMalformedCheckpoint:
     def test_byte_count_disagrees_with_shape(self, tmp_path):
         meta, arrays = self._parts()
         self._rejects_length(self._write(tmp_path, meta, _payload(arrays) + bytes(4)))
+
+    def test_impossible_architecture_fails_before_the_shape_table(self, tmp_path, monkeypatch):
+        # 100 bytes cannot hold a million layers' batch norm: the length check
+        # must come before the table of that architecture is built.
+        def refuse(cfg):
+            raise AssertionError("_expected_shapes called")
+
+        meta, _ = self._parts()
+        meta["mlp"]["n_layers"] = 10**6
+        p = self._write(tmp_path, meta, bytes(100))
+        monkeypatch.setattr(network, "_expected_shapes", refuse)
+        with pytest.raises(CheckpointError, match=r"payload holds 100 bytes, the stored "
+                                                  r"architecture needs more than 159999840 "
+                                                  r".*bad\.ckpt"):
+            load_checkpoint(p)
 
     @pytest.mark.parametrize("floats", [-1, 1], ids=["short", "long"])
     def test_payload_one_float_off(self, tmp_path, floats):

@@ -61,6 +61,13 @@ def _raw_nifti(dims=(2, 2, 2), datatype=64, dim0=3, scl_slope=0.0, scl_inter=0.0
     return bytes(hdr) + b"\x00" * 4 + payload
 
 
+def _header_float(default):
+    """A float32 header field: its usual value, any float32, or an extreme one."""
+    return st.one_of(st.just(default), st.floats(width=32),
+                     st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-45,
+                                      3.4028234663852886e38, -3.4028234663852886e38]))
+
+
 class TestNifti:
     def test_round_trip_identity(self, tmp_path):
         vol = _vol()
@@ -152,7 +159,11 @@ class TestNifti:
         ("8f", 76, (1, 1, 1, math.nan, 0, 0, 0, 0),
          "corrupt file: pixdim (1.0, 1.0, nan) is not positive and finite"),
         ("f", 108, (100.0,), "corrupt file: vox_offset 100"),
-    ], ids=["ni1-pair", "dims", "bitpix", "pixdim", "nan-pixdim", "vox-offset"])
+        ("f", 108, (math.inf,), "corrupt file: vox_offset inf"),
+        ("f", 108, (-math.inf,), "corrupt file: vox_offset -inf"),
+        ("f", 108, (math.nan,), "corrupt file: vox_offset nan"),
+    ], ids=["ni1-pair", "dims", "bitpix", "pixdim", "nan-pixdim", "vox-offset",
+            "inf-vox-offset", "-inf-vox-offset", "nan-vox-offset"])
     def test_bad_header_field_rejected(self, tmp_path, fmt, offset, value, message):
         blob = bytearray(_raw_nifti())
         struct.pack_into("<" + fmt, blob, offset, *value)
@@ -160,6 +171,23 @@ class TestNifti:
         p.write_bytes(bytes(blob))
         with pytest.raises(NiftiError, match=re.escape(f"{message} ({p})")):
             read_nifti(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pixdim=st.tuples(*[_header_float(1.0)] * 3), vox_offset=_header_float(352.0),
+           scl_slope=_header_float(0.0), scl_inter=_header_float(0.0))
+    def test_header_floats_read_or_fail_naming_the_file(self, tmp_path_factory, pixdim,
+                                                        vox_offset, scl_slope, scl_inter):
+        blob = bytearray(_raw_nifti(scl_slope=scl_slope, scl_inter=scl_inter))
+        struct.pack_into("<3f", blob, 80, *pixdim)
+        struct.pack_into("<f", blob, 108, vox_offset)
+        p = tmp_path_factory.mktemp("header") / "h.nii"
+        p.write_bytes(bytes(blob))
+        try:
+            vol = read_nifti(p)
+        except NiftiError as exc:
+            assert str(p) in str(exc)
+        else:
+            assert isinstance(vol, Volume3D)
 
     def test_bad_header_size(self, tmp_path):
         blob = bytearray(_raw_nifti())
