@@ -34,6 +34,7 @@ from .training import (
     average_predict,
     make_model,
     pretrain,
+    pretrain_pair,
     reconstruct,
     refine,
     split_timepoints,

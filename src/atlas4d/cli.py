@@ -36,7 +36,7 @@ from .optimizer import LrSchedule, lr_at
 from .training import (
     TrainConfig,
     make_model,
-    pretrain,
+    pretrain_pair,
     reconstruct,
     refine,
     series_record,
@@ -45,8 +45,7 @@ from .training import (
 from .volume_io import (
     format_time,
     iter_series,
-    load_series,
-    normalize_intensity,
+    load_normalized_series,
     read_manifest,
     read_nifti,
     same_spacing,
@@ -217,7 +216,8 @@ def _load_training_series(cfg: dict):
             f"training manifest not found: {manifest_path} (run phantom first "
             "or set data.manifest)"
         )
-    series = load_series(read_manifest(manifest_path), label=f"training series {manifest_path}")
+    series = load_normalized_series(read_manifest(manifest_path),
+                                    label=f"training series {manifest_path}")
     mask = None
     mask_path = cfg["data.mask"]
     if mask_path is not None:
@@ -228,7 +228,7 @@ def _load_training_series(cfg: dict):
         mask = vol.data > 0
         if not mask.any():
             raise ConfigError(f"data.mask {mask_path} has no nonzero voxel")
-    return normalize_intensity(series), mask
+    return series, mask
 
 
 def _write_series(out_dir: Path, names, times, frames) -> list[Path]:
@@ -317,13 +317,11 @@ def cmd_pretrain(cfg: dict) -> None:
 
     run_dir = cfg["run_dir"]
     run_dir.mkdir(parents=True, exist_ok=True)
+    models = [make_model(series, seed=seed, **arch)
+              for seed in (tcfg.seed_model1, tcfg.seed_model2)]
+    fits = pretrain_pair(series, split, tcfg, *models)
     produced = []
-    for name, indices, seed, stream in [
-        ("model1", split.set1, tcfg.seed_model1, 0),
-        ("model2", split.set2, tcfg.seed_model2, 1),
-    ]:
-        model = make_model(series, seed=seed, **arch)
-        model, losses = pretrain(series, indices, tcfg, model, stream=stream)
+    for name, (model, losses) in zip(("model1", "model2"), fits):
         ckpt = run_dir / f"{name}_pretrained.ckpt"
         save_checkpoint(model, ckpt)
         log = run_dir / f"pretrain_{name}.tsv"

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -72,14 +73,15 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import FourierEncoder
-from .volume_io import write_atomic
+from .volume_io import SERIES_RECORD, write_atomic
 
 
 class CheckpointError(RuntimeError):
     """Checkpoint file is unreadable or malformed; the message names the file.
 
     Raised for a bad magic, version or checksum, undecodable or invalid
-    metadata, a payload whose length is not that of the stored
+    metadata (a series record entry failing its volume_io.SERIES_RECORD
+    check included), a payload whose length is not that of the stored
     architecture's arrays, and a non-finite value in it.
     """
 
@@ -299,16 +301,22 @@ class InrModel:
         for j in (1, *(s + 1 for s in self.cfg.skip_layers)):
             yield j, self.cfg.in_width(j) - self.cfg.input_dim
 
-    def space_terms(self, folded: list[np.ndarray], x_space: np.ndarray) -> dict[int, np.ndarray]:
+    def space_terms(self, folded: list[np.ndarray], x_space: np.ndarray,
+                    out: dict[int, np.ndarray] | None = None) -> dict[int, np.ndarray]:
         """x_space @ W_space'.T of each layer that reads the raw input.
 
         x_space is the input's leading columns and `folded` comes from
         fold(). Rows that differ only in the trailing (time) columns share
-        these terms; see eval_forward.
+        these terms; see eval_forward. With `out`, a dict like the one
+        returned (any earlier result of the same shape), the terms are
+        written into its arrays and it is returned.
         """
-        k = x_space.shape[1]
-        return {j: x_space @ folded[j - 1][lo:lo + k]
-                for j, lo in self._input_layers()}
+        rows, k = x_space.shape
+        if out is None:
+            out = {j: np.empty((rows, folded[j - 1].shape[1])) for j, _ in self._input_layers()}
+        for j, lo in self._input_layers():
+            np.matmul(x_space, folded[j - 1][lo:lo + k], out=out[j])
+        return out
 
     def time_terms(self, folded: list[np.ndarray], x_time: np.ndarray) -> dict[int, np.ndarray]:
         """x_time @ W_time'.T + b' of each layer that reads the raw input.
@@ -581,4 +589,8 @@ def load_checkpoint(path) -> InrModel:
     model.meta = meta.get("meta", {})
     if not isinstance(model.meta, dict):
         raise CheckpointError(f"corrupt checkpoint: model meta is not an object ({path})")
+    for key, (what, valid) in SERIES_RECORD.items():
+        if key in model.meta and not valid(model.meta[key]):
+            raise CheckpointError(f"corrupt checkpoint: meta {key} "
+                                  f"{reprlib.repr(model.meta[key])} is not {what} ({path})")
     return model

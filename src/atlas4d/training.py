@@ -23,8 +23,9 @@ import numpy as np
 from .encoding import FourierEncoder
 from .network import InrModel, MlpConfig, eval_buffers, init_mlp
 from .optimizer import AdamState, DivergenceError, LrSchedule, adam_step, lr_at, sum_grads
-from .volume_io import (Volume3D, Volume4D, denormalize_intensity, grid_dims, normalize_times,
-                        voxel_coords)
+from .pairing import run_pair
+from .volume_io import (SERIES_RECORD, Volume3D, Volume4D, denormalize_intensity, grid_dims,
+                        normalize_times, voxel_coords)
 
 
 @dataclass
@@ -156,12 +157,12 @@ def _epoch_rng(seed: int, stream: int, epoch: int) -> np.random.Generator:
 
 
 def series_record(series: Volume4D) -> dict:
-    """The meta a model fitted to `series` keeps: time range (which sets the
-    time normalization), times, dims, spacing and intensity scale if any."""
-    record = {"time_range": series.time_range, "times": series.times.tolist(),
-              "dims": series.dims, "spacing": series.spacing,
-              "intensity_scale": series.intensity_scale}
-    return {key: list(value) for key, value in record.items() if value is not None}
+    """The meta a model fitted to `series` keeps (volume_io.SERIES_RECORD):
+    time range (which sets the time normalization), times, dims, spacing
+    and intensity scale if any."""
+    record = {key: getattr(series, key) for key in SERIES_RECORD}
+    return {key: np.asarray(value).tolist() for key, value in record.items()
+            if value is not None}
 
 
 def make_model(series: Volume4D, *, seed: int = 0, **arch) -> InrModel:
@@ -226,6 +227,29 @@ def pretrain(series: Volume4D, time_indices, cfg: TrainConfig,
     return model, losses
 
 
+def pretrain_pair(series: Volume4D, split: TimeSplit, cfg: TrainConfig,
+                  m1: InrModel, m2: InrModel):
+    """Pretrain m1 on split.set1 (stream 0) and m2 on split.set2 (stream 1).
+
+    Returns ((m1, losses1), (m2, losses2)), what the two pretrain calls
+    would return, bit for bit. m2 is fitted in a second process where the
+    box allows (pairing.run_pair) and takes the child's state on return.
+    """
+    (_, losses1), (state2, losses2) = run_pair(
+        _pretrain_side(series, split.set1, cfg, m1, 0),
+        _pretrain_side(series, split.set2, cfg, m2, 1), "model 2")
+    m2.train()
+    m2.load_snapshot(state2)
+    return (m1, losses1), (m2, losses2)
+
+
+def _pretrain_side(series, time_indices, cfg, model, stream):
+    """pretrain as a pairing side: it sends no messages; returns (state, losses)."""
+    yield from ()  # a generator with no step: the two fits never meet
+    model, losses = pretrain(series, time_indices, cfg, model, stream=stream)
+    return model.state, losses
+
+
 def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
            cfg: TrainConfig):
     """Jointly refine both models on fidelity plus cross-consistency.
@@ -237,42 +261,62 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
     the loop stops early when that loss has not improved for `patience`
     epochs.
 
-    Per epoch, each model runs its fidelity forward and backward in turn,
-    keeping only the gradients; then both models run their cross forward,
-    and each update sums its fidelity and cross gradients. So at most the
-    two cross caches are alive at once, and both are dropped after the
-    updates, encoded batches included. The epoch at the end of the
-    `refine_max_epochs` budget is never followed by an update (the best
-    snapshot would discard it), so it skips both fidelity backwards; an
-    epoch that ends on patience has spent them.
+    Each model runs its own loop (_refine_side), model 2's in a second
+    process where the box allows (pairing.run_pair); the loops meet once
+    per epoch to swap their fidelity losses and cross predictions, and
+    then compute the combined loss, the best epoch and the stop alike. If
+    the call fails with two processes, the caller's m2 is left as it was
+    before the call.
     """
     if split.midpoints.size == 0:
         raise ValueError("empty midpoint set")
-    lam = cfg.lambda_fidelity
     sampler = _Sampler(series, cfg.mask)
     mid_norm = normalize_times(split.midpoints, series.time_range)
-
-    m1.train()
+    (best1, hist), (best2, _) = run_pair(
+        _refine_side(m1, True, sampler, split.set1, mid_norm, cfg),
+        _refine_side(m2, False, sampler, split.set2, mid_norm, cfg), "model 2")
+    m1.load_snapshot(best1)
     m2.train()
-    params1, params2 = m1.params(), m2.params()
-    adam1, adam2 = AdamState(params1), AdamState(params2)
+    m2.load_snapshot(best2)
+    return m1, m2, hist
+
+
+def _refine_side(model: InrModel, first: bool, sampler: _Sampler, half, mid_norm,
+                 cfg: TrainConfig):
+    """One model's refine loop as a pairing side; returns (best snapshot, history).
+
+    Per epoch the model runs its fidelity forward and backward, keeping
+    only the gradients, then its cross forward; it sends (fidelity loss,
+    cross prediction) and receives the other model's. Both sides then
+    form l_cross and l_total from model 1's terms first, so they agree bit
+    for bit on the history, the best epoch and the stop. The update sums the
+    fidelity and cross gradients, and the cross cache is dropped after it,
+    encoded batch included. The three message-free steps (pairing) make the
+    lockstep path interleave the models as the one-process loop did, so it
+    holds what that loop held: both fidelity steps, both cross forwards,
+    both snapshots, then both updates. The epoch at the end of the
+    `refine_max_epochs` budget is never followed by an update (the best
+    snapshot would discard it), so it skips the fidelity backward; an epoch
+    that ends on patience has spent it.
+    """
+    lam = cfg.lambda_fidelity
+    model.train()
+    params = model.params()
+    adam = AdamState(params)
     hist = RefineHistory()
-    best_total = np.inf  # epoch 0 always improves on it, so sets best_state
+    best_total = np.inf  # epoch 0 always improves on it, so sets best
 
     for epoch in range(cfg.refine_max_epochs):
         last = epoch == cfg.refine_max_epochs - 1
-        rng1 = _epoch_rng(cfg.seed_sampling, 101, epoch)
-        rng2 = _epoch_rng(cfg.seed_sampling, 102, epoch)
+        rng = _epoch_rng(cfg.seed_sampling, 101 if first else 102, epoch)
+        l_fid, grads = _step(model, sampler, half, cfg.batch_size, rng, lam, backward=not last)
+        yield None
         rngc = _epoch_rng(cfg.seed_sampling, 103, epoch)
+        pc, cache = _run(model, sampler.draw_coords(mid_norm, cfg.batch_size, rngc))
 
-        l1, g1 = _step(m1, sampler, split.set1, cfg.batch_size, rng1, lam, backward=not last)
-        l2, g2 = _step(m2, sampler, split.set2, cfg.batch_size, rng2, lam, backward=not last)
-
-        ptsc = sampler.draw_coords(mid_norm, cfg.batch_size, rngc)
-        pc1, cache1 = _run(m1, ptsc)
-        pc2, cache2 = _run(m2, ptsc)
-        l_cross, d_cross = _mse(pc1, pc2)
-
+        l_other, pc_other = yield l_fid, pc
+        l1, l2 = (l_fid, l_other) if first else (l_other, l_fid)
+        l_cross, d_cross = _mse(pc, pc_other) if first else _mse(pc_other, pc)
         l_total = lam * l1 + lam * l2 + l_cross
         if not np.isfinite(l_total):
             raise DivergenceError(f"divergence: non-finite loss at refine epoch {epoch}")
@@ -284,22 +328,20 @@ def refine(m1: InrModel, m2: InrModel, series: Volume4D, split: TimeSplit,
         if l_total < best_total:
             best_total = l_total
             hist.best_epoch = epoch
-            best_state = (m1.snapshot(), m2.snapshot())
+            best = model.snapshot()
         elif epoch - hist.best_epoch >= cfg.patience:
             break
         if last:
-            break  # load_snapshot below would discard this epoch's update
+            break  # load_snapshot would discard this epoch's update
 
-        lr = lr_at(cfg.refine_schedule, epoch)
-        _update(m1, params1, adam1, lr, sum_grads(g1, m1.backward(cache1, d_cross)))
-        _update(m2, params2, adam2, lr, sum_grads(g2, m2.backward(cache2, -d_cross)))
-        # spent, but each still holds its encoded batch: drop them before
-        # the next epoch's cross forwards
-        del cache1, cache2
-
-    m1.load_snapshot(best_state[0])
-    m2.load_snapshot(best_state[1])
-    return m1, m2, hist
+        yield None
+        _update(model, params, adam, lr_at(cfg.refine_schedule, epoch),
+                sum_grads(grads, model.backward(cache, d_cross if first else -d_cross)))
+        # the spent cache still holds its encoded batch: drop it and this
+        # epoch's batch-sized arrays before the next epoch's forwards
+        del cache, pc, pc_other, d_cross
+        yield None
+    return best, hist
 
 
 def _check_pair(m1: InrModel, m2: InrModel) -> None:
@@ -344,10 +386,12 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     calls of other sizes may round differently). A rerun with the same
     arguments gives the same bits, and so does a time requested alone or
     among other times. Beyond the output volumes, memory is
-    bounded by one model's spatial terms, (1 + number of skip layers) *
-    chunk * hidden_width floats, which are dropped before the next model's
-    are formed, plus one chunk's coordinates and encoding and the two
-    (chunk, hidden_width + 1) eval buffers that both models share.
+    bounded by one set of spatial terms, (1 + number of skip layers) *
+    chunk * hidden_width floats, which both models share when they have
+    one architecture, plus one chunk's coordinates and encoding and the
+    two (chunk, hidden_width + 1) eval buffers that both models share.
+    The encoding and the terms are allocated once and rewritten for every
+    chunk and model.
     """
     times = np.asarray(times, dtype=np.float64)
     if np.any(np.diff(times) <= 0):
@@ -372,7 +416,12 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     for m, f in zip(models, folded):
         t_block = m.encoder.encode_time(t_norm)
         time_terms.append([m.time_terms(f, t_block[k:k + 1]) for k in range(times.size)])
-    bufs = {w: eval_buffers(min(chunk, n), w) for w in {m.cfg.hidden_width for m in models}}
+    rows = min(chunk, n)
+    bufs = {w: eval_buffers(rows, w) for w in {m.cfg.hidden_width for m in models}}
+    # _check_pair has given both models one encoding width; models of one
+    # layout share the terms.
+    x_space = np.empty((rows, 2 * m1.encoder.l_space))
+    terms = {}
 
     # Each model adds its half: pred ends as average_predict's 0.5 * y1 + 0.5 * y2.
     pred = np.zeros((times.size, n))
@@ -380,10 +429,13 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
         hi = min(lo + chunk, n)
         xyz = voxel_coords(dims, np.arange(lo, hi))
         for m, f, by_time in zip(models, folded, time_terms):
-            space = m.space_terms(f, m.encoder.encode_space(xyz))
+            x = m.encoder.encode_space(xyz, out=x_space[:hi - lo])
+            layout = (m.cfg.hidden_width, m.cfg.skip_layers)
+            kept = terms.get(layout)
+            space = terms[layout] = m.space_terms(
+                f, x, None if kept is None else {j: a[:hi - lo] for j, a in kept.items()})
             for k, t_terms in enumerate(by_time):
                 pred[k, lo:hi] += 0.5 * m.eval_forward(f, space, t_terms, bufs[m.cfg.hidden_width])
-            del space  # before the next model forms its terms
 
     np.clip(pred, 0.0, 1.0, out=pred)
     volumes = []

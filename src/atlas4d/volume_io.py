@@ -16,6 +16,7 @@ import io
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -150,6 +151,34 @@ class Volume4D:
     def stack(self) -> np.ndarray:
         """All intensities as (n_times, n_voxels) in disk order."""
         return np.stack([v.flat() for v in self.volumes])
+
+
+def _finite_numbers(value, n: int | None = None) -> bool:
+    """Whether value is a list of ints or floats that are finite as floats
+    (n of them if n is given); NaN fails the comparison."""
+    top = sys.float_info.max
+    return (isinstance(value, list) and (n is None or len(value) == n)
+            and all(type(v) in (int, float) and -top <= v <= top for v in value))
+
+
+def _finite_range(value) -> bool:
+    return _finite_numbers(value, 2) and value[0] < value[1]
+
+
+# The series attributes a model fitted to the series keeps in its meta
+# (training.series_record), each as a list, with what a stored value must
+# be: load_checkpoint rejects a meta whose value fails its check.
+SERIES_RECORD = {
+    "time_range": ("a list of 2 finite values, lo < hi", _finite_range),
+    "times": ("a list of finite, strictly increasing values",
+              lambda v: _finite_numbers(v) and all(a < b for a, b in zip(v, v[1:]))),
+    # A NIfTI-1 header stores dims as int16, so no series read from files
+    # has more than 32767 voxels along an axis.
+    "dims": ("a list of 3 integers in [1, 32767]", lambda v: isinstance(v, list)
+             and len(v) == 3 and all(type(d) is int and 1 <= d <= 32767 for d in v)),
+    "spacing": ("a list of 3 finite values > 0", lambda v: _finite_numbers(v, 3) and min(v) > 0),
+    "intensity_scale": ("a list of 2 finite values, lo < hi", _finite_range),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +448,34 @@ def normalize_intensity(series: Volume4D) -> Volume4D:
     can be mapped back. A non-finite voxel or a constant series has no
     usable range and is an error rather than a silent pass-through.
     """
-    lo = np.array([v.data.min() for v in series.volumes])
-    hi = np.array([v.data.max() for v in series.volumes])
+    return _normalized(list(series.volumes), series.times.copy())
+
+
+def load_normalized_series(manifest: Sequence[tuple], *, label: str = "series") -> Volume4D:
+    """normalize_intensity(load_series(manifest, label=label)), bit for bit.
+
+    The raw series is not held beside its normalized copy: once every file
+    is read (each once), the volumes are normalized one by one and each raw
+    volume is dropped as its normalized one is made.
+    """
+    times, volumes = iter_series(manifest, label=label)
+    return _normalized(list(volumes), times)
+
+
+def _normalized(volumes: list[Volume3D], times: np.ndarray) -> Volume4D:
+    """normalize_intensity's series; each entry of `volumes` is replaced in turn."""
+    lo = np.array([v.data.min() for v in volumes])
+    hi = np.array([v.data.max() for v in volumes])
     bad = ~(np.isfinite(lo) & np.isfinite(hi))
     if bad.any():
-        raise ValueError(f"non-finite intensity in the volume at time {series.times[bad][0]:g}")
+        raise ValueError(f"non-finite intensity in the volume at time {times[bad][0]:g}")
     gmin, gmax = float(lo.min()), float(hi.max())
     if gmax <= gmin:
         raise ValueError("degenerate intensity range: series is constant")
     scale = gmax - gmin
-    volumes = [
-        replace(v, data=(v.data - gmin) / scale) for v in series.volumes
-    ]
-    return Volume4D(volumes=volumes, times=series.times.copy(),
-                    intensity_scale=(gmin, gmax))
+    for k, v in enumerate(volumes):
+        volumes[k] = replace(v, data=(v.data - gmin) / scale)
+    return Volume4D(volumes=volumes, times=times, intensity_scale=(gmin, gmax))
 
 
 def denormalize_intensity(values: np.ndarray, intensity_scale: tuple[float, float]) -> np.ndarray:

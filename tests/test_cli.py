@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import shutil
@@ -8,6 +10,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atlas4d import cli, phantom, volume_io
 from atlas4d.cli import ConfigError, load_config, main
@@ -300,6 +304,34 @@ class TestStageOrder:
                                        skip_layers=(3,)), seed=i, encoder=enc)
             model.meta = meta
             save_checkpoint(model, run / f"model{i}_refined.ckpt")
+
+    # Values no series record entry accepts: none is a list of numbers that
+    # a float holds.
+    _HOSTILE = st.one_of(
+        st.none(), st.booleans(), st.text(max_size=3), st.floats(),
+        st.lists(st.sampled_from([None, True, "x", math.nan, -math.inf, 10**400]),
+                 min_size=1, max_size=4))
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.sampled_from(["dims", "time_range", "times", "spacing", "intensity_scale"]),
+           value=_HOSTILE)
+    @example(key="dims", value="abc")
+    @example(key="time_range", value=[1])
+    @example(key="times", value=5)
+    @example(key="spacing", value=["x", 1, 1])
+    @example(key="intensity_scale", value="ab")
+    def test_infer_on_hostile_meta_prints_one_error_line(self, tmp_path_factory, key, value):
+        tmp_path = tmp_path_factory.mktemp("hostile")
+        cfg = _write_config(tmp_path)
+        meta = {"time_range": [21.0, 26.0], "times": [21.0, 26.0], "dims": [4, 4, 4],
+                "spacing": [1.0, 1.0, 1.0], "intensity_scale": [0.0, 1.0], key: value}
+        self._refined_pair(tmp_path / "run", meta)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert _run("infer", "--config", str(cfg)) == 1
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(f"error: corrupt checkpoint: meta {key} ")
+        assert line.endswith(f"({tmp_path / 'run' / 'model1_refined.ckpt'})")
 
     def test_infer_without_dims_meta(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

@@ -21,7 +21,7 @@ from atlas4d.network import (
     save_checkpoint,
 )
 from atlas4d.network import _expected_shapes
-from atlas4d.volume_io import coord_grid
+from atlas4d.volume_io import SERIES_RECORD, coord_grid
 
 
 def mse_loss(model, x, target):
@@ -865,6 +865,49 @@ class TestMalformedCheckpoint:
         meta["encoder"] = encoder
         p = self._write(tmp_path, meta, _payload(arrays))
         with pytest.raises(CheckpointError, match=r"bad encoder meta.*bad\.ckpt"):
+            load_checkpoint(p)
+
+    # A valid series record, and JSON values of every kind to put in it:
+    # wrong types and lengths, NaN, infinities, ints past the float range,
+    # nested lists, and well-formed values that may still be out of order.
+    _RECORD = {"time_range": [21.0, 30.0], "times": [21.0, 25.5, 30.0], "dims": [4, 5, 6],
+               "spacing": [1.0, 1.0, 2.5], "intensity_scale": [0.0, 2.0]}
+    _META_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+
+    def _save_with_record_entry(self, path, key, value):
+        model = self._model()
+        model.meta = {**self._RECORD, key: value}
+        save_checkpoint(model, path)
+        return model
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(sorted(_RECORD)), value=_META_VALUES)
+    def test_mutated_series_record_loads_or_fails_naming_the_file(self, tmp_path_factory,
+                                                                  key, value):
+        assert set(self._RECORD) == set(SERIES_RECORD)
+        p = tmp_path_factory.mktemp("meta") / "m.ckpt"
+        model = self._save_with_record_entry(p, key, value)
+        try:
+            back = load_checkpoint(p)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"corrupt checkpoint: meta {key} ")
+            assert str(exc).endswith(f"({p})")
+        else:
+            assert json.dumps(back.meta, sort_keys=True) == json.dumps(model.meta, sort_keys=True)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dims", "abc"), ("time_range", [1]), ("times", 5), ("spacing", ["x", 1, 1]),
+        ("intensity_scale", "ab"), ("dims", [4, True, 4]), ("dims", [4, 40000, 4]),
+        ("dims", [4, 5.0, 6]), ("time_range", [30.0, 21.0]), ("times", [21.0, math.nan]),
+        ("times", [21.0, 21.0]), ("spacing", [1.0, 0.0, 1.0]),
+        ("intensity_scale", [0, 10**400]), ("time_range", None)])
+    def test_hostile_series_record_rejected(self, tmp_path, key, value):
+        p = tmp_path / "m.ckpt"
+        self._save_with_record_entry(p, key, value)
+        with pytest.raises(CheckpointError, match=rf"^corrupt checkpoint: meta {key} .* is not "
+                                                  rf"a list of .*\(.*m\.ckpt\)$"):
             load_checkpoint(p)
 
     def test_unknown_mode(self, tmp_path):

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import inspect
 import math
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -8,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atlas4d import training
-from atlas4d.network import InrModel
+from atlas4d import pairing, training
+from atlas4d.network import InrModel, eval_buffers
 from atlas4d.optimizer import DivergenceError, LrSchedule, adam_step
 from atlas4d.phantom import PhantomConfig, generate
 from atlas4d.training import (
@@ -18,6 +21,7 @@ from atlas4d.training import (
     average_predict,
     make_model,
     pretrain,
+    pretrain_pair,
     reconstruct,
     refine,
     split_timepoints,
@@ -28,6 +32,7 @@ from atlas4d.volume_io import (
     coord_grid,
     normalize_intensity,
     normalize_times,
+    voxel_coords,
 )
 
 
@@ -249,6 +254,38 @@ def _arithmetic_fingerprint() -> str:
 _PINNED_FINGERPRINT = "d26ae162713fb52699d62660682acc44eeee0a489e7c9e193df4edd3d7415eba"
 
 
+@pytest.fixture
+def lockstep(monkeypatch):
+    """Both pairing sides in this process, so monkeypatched counters and
+    tracemalloc see both models' work."""
+    monkeypatch.setattr(pairing, "_can_fork", lambda: False)
+
+
+# The paired path needs os.fork, two usable cores and OpenBLAS's thread cap.
+needs_fork = pytest.mark.skipif(
+    not (pairing._can_fork() and pairing.blas_thread_count_fns()),
+    reason="pairing runs in lockstep here")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a block that runs past `seconds` instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _in_child(parent_pid) -> bool:
+    return os.getpid() != parent_pid
+
+
 class TestPretrain:
     def test_defaults_match_contract(self):
         cfg = TrainConfig()
@@ -383,7 +420,8 @@ class TestRefine:
                 assert np.array_equal(v, snap_before[0][k])
 
     @pytest.mark.parametrize("max_epochs, patience", [(6, 10), (200, 1)])
-    def test_no_update_after_last_recorded_epoch(self, monkeypatch, max_epochs, patience):
+    def test_no_update_after_last_recorded_epoch(self, lockstep, monkeypatch, max_epochs,
+                                                 patience):
         # An update after the last recorded epoch would be overwritten by the
         # best snapshot, so refine steps each model once per epoch but the
         # last. Each updated epoch runs 4 backward passes; the budget's last
@@ -412,7 +450,7 @@ class TestRefine:
         assert len(steps) == 2 * (n - 1)
         assert len(backwards) == 4 * (n - 1) + (2 if stopped_early else 0)
 
-    def test_divergence_updates_nothing(self, monkeypatch):
+    def test_divergence_updates_nothing(self, lockstep, monkeypatch):
         # The fidelity backwards run before the non-finite check, so the
         # check must still come before any parameter update.
         _, series, split = self._noisy_setup()
@@ -429,7 +467,7 @@ class TestRefine:
         after = [{k: v.tobytes() for k, v in m.params().items()} for m in (m1, m2)]
         assert after == before
 
-    def test_holds_at_most_one_cache_more_than_pretrain(self):
+    def test_holds_at_most_one_cache_more_than_pretrain(self, lockstep):
         # Each fidelity cache is spent before the cross forwards, so a refine
         # epoch holds the two cross caches at once: one train cache more than
         # a pretrain step, plus parameter-sized arrays (the second model's
@@ -461,7 +499,7 @@ class TestRefine:
         # rest of the file; refine keeping its spent cross caches reads 13.5.
         assert refine_peak - pretrain_peak <= one_cache + 7 * param_bytes
 
-    def test_next_update_epoch_holds_no_spent_cross_batch(self):
+    def test_next_update_epoch_holds_no_spent_cross_batch(self, lockstep):
         # The last epoch never updates, so refine_max_epochs 3 runs two
         # updating epochs and 2 runs one. Both cross caches are dropped after
         # the updates, so the second updating epoch's cross forwards carry no
@@ -518,6 +556,108 @@ class TestRefine:
         m1, m2 = _tiny_model(series, 1), _tiny_model(series, 2)
         with pytest.raises(ValueError, match="empty midpoint"):
             refine(m1, m2, series, split, cfg)
+
+
+class TestPairing:
+    """Both stages give the same bits whether model 2 trains in a forked
+    child or beside model 1 in lockstep, and every failure reaches the
+    caller as an exception."""
+
+    def _setup(self, width):
+        _, series, split = TestRefine()._noisy_setup(seed=2)
+        cfg = _tiny_cfg(batch_size=384, pretrain_epochs=6, refine_max_epochs=8, patience=3)
+        models = [make_model(series, seed=s, l_space=10, l_time=4, hidden_width=width,
+                             n_layers=5, skip_layers=(2,)) for s in (5, 6)]
+        return series, split, cfg, models
+
+    def _train(self, width):
+        series, split, cfg, models = self._setup(width)
+        fits = pretrain_pair(series, split, cfg, *models)
+        m1, m2, hist = refine(*models, series, split, cfg)
+        states = [{k: v.tobytes() for k, v in m.state.items()} for m in (m1, m2)]
+        return [losses for _, losses in fits], hist, states, (m1.mode, m2.mode)
+
+    @needs_fork
+    @pytest.mark.parametrize("width", [12, 48])
+    def test_paired_equals_lockstep(self, monkeypatch, width):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(pairing.os, "fork", counted_fork)
+        with _deadline(120):
+            paired = self._train(width)
+        assert len(forks) == 2
+        monkeypatch.setattr(pairing, "_can_fork", lambda: False)
+        lockstep = self._train(width)
+        assert len(forks) == 2
+        assert paired[0] == lockstep[0]
+        assert paired[1] == lockstep[1]  # every loss list and best_epoch
+        assert paired[1].best_epoch >= 0
+        assert paired[2] == lockstep[2]
+        assert paired[3] == lockstep[3] == ("train", "train")
+
+    def test_pretrain_pair_equals_two_pretrain_calls(self):
+        series, split, cfg, models = self._setup(12)
+        with _deadline(120):
+            fits = pretrain_pair(series, split, cfg, *models)
+        _, _, _, again = self._setup(12)
+        for stream, (half, model, (fitted, losses)) in enumerate(
+                zip((split.set1, split.set2), again, fits)):
+            model, want = pretrain(series, half, cfg, model, stream=stream)
+            assert losses == want
+            assert fitted.mode == model.mode
+            for k, v in model.state.items():
+                assert fitted.state[k].tobytes() == v.tobytes(), k
+
+    def test_model2_divergence_in_pretrain_reaches_caller(self):
+        series, split, cfg, (m1, m2) = self._setup(12)
+        m2.weights[0][0, 0] = np.nan
+        with _deadline(120), pytest.raises(DivergenceError,
+                                           match="^divergence: non-finite loss at epoch 0$"):
+            pretrain_pair(series, split, cfg, m1, m2)
+
+    @needs_fork
+    def test_model2_divergence_in_refine_reaches_caller(self, monkeypatch):
+        series, split, cfg, (m1, m2) = self._setup(12)
+        before = {k: v.tobytes() for k, v in m2.state.items()}
+        parent = os.getpid()
+
+        def diverging_step(params, grads, state, lr):
+            if _in_child(parent) and state.step == 2:
+                raise DivergenceError("divergence: non-finite gradient in w3")
+            return adam_step(params, grads, state, lr)
+
+        monkeypatch.setattr(training, "adam_step", diverging_step)
+        with _deadline(120), pytest.raises(DivergenceError,
+                                           match="^divergence: non-finite gradient in w3$"):
+            refine(m1, m2, series, split, cfg)
+        # model 2 trained in the child: the caller's copy is as it was
+        assert {k: v.tobytes() for k, v in m2.state.items()} == before
+
+    @needs_fork
+    @pytest.mark.parametrize("stage", ["pretrain", "refine"])
+    def test_killed_child_raises_runtime_error(self, monkeypatch, stage):
+        series, split, cfg, (m1, m2) = self._setup(12)
+        parent = os.getpid()
+        update = training._update
+
+        def killed_update(model, *args):
+            if _in_child(parent):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return update(model, *args)
+
+        monkeypatch.setattr(training, "_update", killed_update)
+        with _deadline(120), pytest.raises(
+                RuntimeError, match=r"^the process working on model 2 ended without "
+                                    r"replying \(exit status -9\)$"):
+            if stage == "pretrain":
+                pretrain_pair(series, split, cfg, m1, m2)
+            else:
+                refine(m1, m2, series, split, cfg)
 
 
 class TestAveragePredict:
@@ -624,6 +764,32 @@ class TestReconstruct:
         dims2 = tuple(2 * d for d in series.dims)
         out = reconstruct(m1, m2, dims2, series.spacing, [0.0, 3.0])
         assert out.volumes[0].n_voxels == 8 * series.volumes[0].n_voxels
+
+    @pytest.mark.parametrize("skips2", [(2,), (1, 3)], ids=["one-layout", "two-layouts"])
+    def test_reused_chunk_arrays_give_fresh_arrays_bytes(self, skips2):
+        # The reference walks the grid as reconstruct does, with fresh
+        # encodings and spatial terms for every chunk and model; the last
+        # chunk is ragged (210 voxels in chunks of 64).
+        series = _constant_series()
+        models = [make_model(series, l_space=6, l_time=3, hidden_width=10, n_layers=5,
+                             skip_layers=skips, seed=seed).eval()
+                  for skips, seed in (((2,), 1), (skips2, 2))]
+        dims, times, chunk = (7, 6, 5), [0.0, 1.25], 64
+        t_norm = normalize_times(times, series.time_range)
+        want = np.zeros((len(times), math.prod(dims)))
+        for m in models:
+            f = m.fold()
+            for lo in range(0, want.shape[1], chunk):
+                hi = min(lo + chunk, want.shape[1])
+                space = m.space_terms(f, m.encoder.encode_space(voxel_coords(dims,
+                                                                             np.arange(lo, hi))))
+                for k, t in enumerate(m.encoder.encode_time(t_norm)):
+                    want[k, lo:hi] += 0.5 * m.eval_forward(
+                        f, space, m.time_terms(f, t[None]), eval_buffers(chunk, 10))
+        np.clip(want, 0.0, 1.0, out=want)
+        got = reconstruct(*models, dims, series.spacing, times, chunk=chunk)
+        for k, vol in enumerate(got.volumes):
+            assert vol.flat().tobytes() == want[k].tobytes()
 
     def test_normalized_output_range(self):
         series, m1, m2 = self._trained_pair()
