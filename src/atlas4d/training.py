@@ -430,7 +430,7 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
         xyz = voxel_coords(dims, np.arange(lo, hi))
         for m, f, by_time in zip(models, folded, time_terms):
             x = m.encoder.encode_space(xyz, out=x_space[:hi - lo])
-            layout = (m.cfg.hidden_width, m.cfg.skip_layers)
+            layout = (m.cfg.hidden_width, m.cfg.n_layers, m.cfg.skip_layers)
             kept = terms.get(layout)
             space = terms[layout] = m.space_terms(
                 f, x, None if kept is None else {j: a[:hi - lo] for j, a in kept.items()})

@@ -765,15 +765,17 @@ class TestReconstruct:
         out = reconstruct(m1, m2, dims2, series.spacing, [0.0, 3.0])
         assert out.volumes[0].n_voxels == 8 * series.volumes[0].n_voxels
 
-    @pytest.mark.parametrize("skips2", [(2,), (1, 3)], ids=["one-layout", "two-layouts"])
-    def test_reused_chunk_arrays_give_fresh_arrays_bytes(self, skips2):
+    @pytest.mark.parametrize("arch2", [(5, (4,)), (5, (1, 3)), (6, (4,))],
+                             ids=["one-layout", "other-skips", "other-depth"])
+    def test_reused_chunk_arrays_give_fresh_arrays_bytes(self, arch2):
         # The reference walks the grid as reconstruct does, with fresh
         # encodings and spatial terms for every chunk and model; the last
-        # chunk is ragged (210 voxels in chunks of 64).
+        # chunk is ragged (210 voxels in chunks of 64). Model 1's skip feeds
+        # its output layer, model 2's a hidden layer when it is deeper.
         series = _constant_series()
-        models = [make_model(series, l_space=6, l_time=3, hidden_width=10, n_layers=5,
+        models = [make_model(series, l_space=6, l_time=3, hidden_width=10, n_layers=depth,
                              skip_layers=skips, seed=seed).eval()
-                  for skips, seed in (((2,), 1), (skips2, 2))]
+                  for (depth, skips), seed in (((5, (4,)), 1), (arch2, 2))]
         dims, times, chunk = (7, 6, 5), [0.0, 1.25], 64
         t_norm = normalize_times(times, series.time_range)
         want = np.zeros((len(times), math.prod(dims)))
