@@ -137,16 +137,21 @@ def load_config(path, overrides=()) -> dict:
     (run_dir, data.manifest, data.mask, eval.recon_manifest and
     eval.reference_manifest) hold Paths resolved against the config file's
     directory, or None when unset or empty. A config without run_dir fails
-    here, before any command starts work, and so does a key set on two
-    lines of the file (the error names both). Overrides win over the file,
-    and among overrides the last one for a key wins.
+    here, before any command starts work, and so do a file that is not
+    UTF-8 text and a key set on two lines of the file (the error names
+    both). Overrides win over the file, and among overrides the last one
+    for a key wins.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     raw: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue

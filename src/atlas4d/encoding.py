@@ -62,22 +62,12 @@ class FourierEncoder:
         )
         return feats[0] if single else feats
 
-    def encode_space(self, xyz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def encode_space(self, xyz: np.ndarray) -> np.ndarray:
         """The [cos_space, sin_space] block alone for (n, 3) coordinates.
 
-        Equals the leading 2 * l_space columns of `encode` bit for bit. It is
-        written into `out`, an (n, 2 * l_space) float64 array, when given; the
-        sine half of `out` holds the cosines' argument first, so a caller
-        that passes the same `out` for every chunk allocates nothing.
+        Equals the leading 2 * l_space columns of `encode` bit for bit.
         """
-        if out is None:
-            out = np.empty((len(xyz), 2 * self.l_space))
-        cos, arg = out[:, :self.l_space], out[:, self.l_space:]
-        np.matmul(xyz, self.b_space.T, out=arg)
-        arg *= 2.0 * np.pi
-        np.cos(arg, out=cos)
-        np.sin(arg, out=arg)
-        return out
+        return np.concatenate(_cos_sin(xyz, self.b_space), axis=1)
 
     def encode_time(self, t) -> np.ndarray:
         """The [cos_time, sin_time] block alone for n times.

@@ -95,18 +95,14 @@ def efc_slice(slice_2d: np.ndarray) -> float:
     return entropy / norm + 0.0  # avoid returning -0.0 for pure slices
 
 
-def efc_volume(vol: Volume3D, slice_axis: int = 2) -> float:
-    """Mean slice entropy over non-background slices along one axis."""
-    if slice_axis not in (0, 1, 2):
-        raise ValueError("slice_axis must be 0, 1, or 2")
+def efc_volume(vol: Volume3D) -> float:
+    """Mean slice entropy over the non-background slices along the last axis."""
     values = []
-    lead = (slice(None),) * slice_axis
-    for k in range(vol.dims[slice_axis]):
+    for k in range(vol.dims[2]):
         # A basic-index view; np.take copies through a slow gather on the
         # Fortran-ordered arrays read_nifti returns.
-        sl = vol.data[lead + (k,)]
         try:
-            values.append(efc_slice(sl))
+            values.append(efc_slice(vol.data[:, :, k]))
         except BackgroundSliceError:
             continue
     if not values:

@@ -301,22 +301,15 @@ class InrModel:
         for j in (1, *(s + 1 for s in self.cfg.skip_layers)):
             yield j, self.cfg.in_width(j) - self.cfg.input_dim
 
-    def space_terms(self, folded: list[np.ndarray], x_space: np.ndarray,
-                    out: dict[int, np.ndarray] | None = None) -> dict[int, np.ndarray]:
+    def space_terms(self, folded: list[np.ndarray], x_space: np.ndarray) -> dict[int, np.ndarray]:
         """x_space @ W_space'.T of each layer that reads the raw input.
 
         x_space is the input's leading columns and `folded` comes from
         fold(). Rows that differ only in the trailing (time) columns share
-        these terms; see eval_forward. With `out`, a dict like the one
-        returned (any earlier result of the same shape), the terms are
-        written into its arrays and it is returned.
+        these terms; see eval_forward.
         """
-        rows, k = x_space.shape
-        if out is None:
-            out = {j: np.empty((rows, folded[j - 1].shape[1])) for j, _ in self._input_layers()}
-        for j, lo in self._input_layers():
-            np.matmul(x_space, folded[j - 1][lo:lo + k], out=out[j])
-        return out
+        k = x_space.shape[1]
+        return {j: x_space @ folded[j - 1][lo:lo + k] for j, lo in self._input_layers()}
 
     def time_terms(self, folded: list[np.ndarray], x_time: np.ndarray) -> dict[int, np.ndarray]:
         """x_time @ W_time'.T + b' of each layer that reads the raw input.
@@ -428,8 +421,8 @@ def eval_buffers(rows: int, width: int) -> np.ndarray:
     """The two (rows, width + 1) hidden-state buffers of eval_forward.
 
     Their last column is 1, which turns the folded bias into one more row
-    of each product; ReLU keeps it at 1. Models of the same hidden width
-    can share one pair, and any call with at most `rows` rows can use it.
+    of each product; ReLU keeps it at 1. Any call with at most `rows` rows
+    can use the pair.
     """
     bufs = np.empty((2, rows, width + 1))
     bufs[:, :, width] = 1.0

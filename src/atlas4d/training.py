@@ -373,25 +373,23 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     for temporal and spatial upsampling. Predictions are clipped to the
     normalized [0, 1] training range before optional denormalization.
 
-    The grid is walked in chunks of `chunk` voxels (a positive integer,
-    also checked before any work), one model at a time, and each chunk's
+    One model at a time walks the grid in chunks of `chunk` voxels (a
+    positive integer, also checked before any work), and each chunk's
     coordinates are formed on their own (voxel_coords), so no array spans
     the whole grid but the outputs. Each model is folded once per call
     (InrModel.fold) and forms its time terms once per requested time,
-    from that time's one encoded row. For each chunk a
-    model encodes only the spatial block of the features and forms its
-    InrModel.space_terms once; for each time it then runs
-    InrModel.eval_forward, the loop behind every eval-mode prediction, so
-    values agree with average_predict's to rounding (rows grouped into
-    calls of other sizes may round differently). A rerun with the same
-    arguments gives the same bits, and so does a time requested alone or
-    among other times. Beyond the output volumes, memory is
-    bounded by one set of spatial terms, (1 + number of skip layers) *
-    chunk * hidden_width floats, which both models share when they have
-    one architecture, plus one chunk's coordinates and encoding and the
-    two (chunk, hidden_width + 1) eval buffers that both models share.
-    The encoding and the terms are allocated once and rewritten for every
-    chunk and model.
+    from that time's one encoded row. For each chunk a model encodes only
+    the spatial block of the features and forms its InrModel.space_terms
+    once; for each time it then runs InrModel.eval_forward, the loop
+    behind every eval-mode prediction, so values agree with
+    average_predict's to rounding (rows grouped into calls of other sizes
+    may round differently). A rerun with the same arguments gives the same
+    bits, and so does a time requested alone or among other times. Beyond
+    the output volumes, memory is bounded by one model's spatial terms for
+    one chunk, (1 + number of skip layers) * chunk * hidden_width floats,
+    its two (chunk, hidden_width + 1) eval buffers and one chunk's
+    coordinates and encoding; a chunk's terms are dropped before the next
+    chunk's are formed.
     """
     times = np.asarray(times, dtype=np.float64)
     if np.any(np.diff(times) <= 0):
@@ -407,35 +405,23 @@ def reconstruct(m1: InrModel, m2: InrModel, dims, spacing, times,
     t_norm = normalize_times(times, tuple(t_range))
     dims = grid_dims(dims)
     n = math.prod(dims)
-    models = (m1, m2)
-    folded = [m.fold() for m in models]
 
-    # One time-term call per model and time, on that time's one encoded row,
-    # so a time's volume does not depend on which other times are requested.
-    time_terms = []
-    for m, f in zip(models, folded):
-        t_block = m.encoder.encode_time(t_norm)
-        time_terms.append([m.time_terms(f, t_block[k:k + 1]) for k in range(times.size)])
-    rows = min(chunk, n)
-    bufs = {w: eval_buffers(rows, w) for w in {m.cfg.hidden_width for m in models}}
-    # _check_pair has given both models one encoding width; models of one
-    # layout share the terms.
-    x_space = np.empty((rows, 2 * m1.encoder.l_space))
-    terms = {}
-
-    # Each model adds its half: pred ends as average_predict's 0.5 * y1 + 0.5 * y2.
+    # Each model adds its half, model 1 first at every voxel: pred ends as
+    # average_predict's 0.5 * y1 + 0.5 * y2.
     pred = np.zeros((times.size, n))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        xyz = voxel_coords(dims, np.arange(lo, hi))
-        for m, f, by_time in zip(models, folded, time_terms):
-            x = m.encoder.encode_space(xyz, out=x_space[:hi - lo])
-            layout = (m.cfg.hidden_width, m.cfg.n_layers, m.cfg.skip_layers)
-            kept = terms.get(layout)
-            space = terms[layout] = m.space_terms(
-                f, x, None if kept is None else {j: a[:hi - lo] for j, a in kept.items()})
+    for m in (m1, m2):
+        f = m.fold()
+        # One time-term call per time, on that time's one encoded row, so a
+        # time's volume does not depend on which other times are requested.
+        t_block = m.encoder.encode_time(t_norm)
+        by_time = [m.time_terms(f, t_block[k:k + 1]) for k in range(times.size)]
+        bufs = eval_buffers(min(chunk, n), m.cfg.hidden_width)
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            space = m.space_terms(f, m.encoder.encode_space(voxel_coords(dims, np.arange(lo, hi))))
             for k, t_terms in enumerate(by_time):
-                pred[k, lo:hi] += 0.5 * m.eval_forward(f, space, t_terms, bufs[m.cfg.hidden_width])
+                pred[k, lo:hi] += 0.5 * m.eval_forward(f, space, t_terms, bufs)
+            del space  # the next chunk's terms replace these
 
     np.clip(pred, 0.0, 1.0, out=pred)
     volumes = []

@@ -386,10 +386,16 @@ def read_manifest(path) -> list[tuple[Path, float]]:
 
     Relative paths resolve against the manifest's directory. Blank lines and
     lines starting with `#` are ignored; a `#` elsewhere is part of the path.
+    A file that is not UTF-8 text and a path holding a NUL byte raise
+    ValueError naming the manifest.
     """
     path = Path(path)
     entries = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -402,6 +408,8 @@ def read_manifest(path) -> list[tuple[Path, float]]:
             t = math.nan
         if not math.isfinite(t):
             raise ValueError(f"{path}:{lineno}: time {parts[1]!r} is not a finite number")
+        if "\0" in parts[0]:
+            raise ValueError(f"{path}:{lineno}: path holds a NUL byte")
         p = Path(parts[0])
         if not p.is_absolute():
             p = path.parent / p

@@ -195,6 +195,14 @@ class TestConfigParsing:
         assert "duplicate key train.batch_size" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"run_dir = out\n\xff\n")
+        assert _run("phantom", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: not UTF-8 text")
+        assert not (tmp_path / "out").exists()
+
     def test_set_may_repeat_a_file_key_and_itself(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("run_dir = out\ntrain.batch_size = 100\n")
@@ -278,6 +286,19 @@ class TestStageOrder:
         assert _run("pretrain", "--config", str(cfg), "--set", f"data.manifest={manifest}") == 1
         assert f"error: training series {manifest}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model1_pretrained.ckpt").exists()
+
+    @pytest.mark.parametrize("body, message", [
+        (b"\xffv0.nii\t21\n", "{manifest}: not UTF-8 text"),
+        (b"v0.nii\t21\nv\x001.nii\t22\n", "{manifest}:2: path holds a NUL byte"),
+    ], ids=["non-utf8", "nul-path"])
+    def test_pretrain_names_a_manifest_of_bad_bytes(self, tmp_path, capsys, body, message):
+        cfg = _write_config(tmp_path)
+        manifest = tmp_path / "data.tsv"
+        manifest.write_bytes(body)
+        assert _run("pretrain", "--config", str(cfg), "--set", f"data.manifest={manifest}") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message.format(manifest=manifest)}")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_pretrain_names_a_volume_with_non_finite_vox_offset(self, tmp_path, capsys, offset):
@@ -532,7 +553,7 @@ class TestPipeline:
         ref_labels = [threshold_labels(v, 0.09) for v in ref.volumes]
         mse = series_mse(recon, ref)
         rows = {
-            "efc": [efc_volume(v, 2) for v in recon.volumes],
+            "efc": [efc_volume(v) for v in recon.volumes],
             "dice_1": [dice(a, b, 1) for a, b in zip(recon_labels, ref_labels)],
             "tc": [tc(recon_labels, None, m, 1) for m in range(recon.n_times)],
             "mse": [mse],

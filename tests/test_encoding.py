@@ -125,10 +125,6 @@ def test_encode_is_space_block_then_time_block(l_space, l_time, seed, points):
     parts = np.concatenate([enc.encode_space(points[:, :3]), enc.encode_time(points[:, 3])],
                            axis=1)
     assert np.array_equal(enc.encode(points), parts)
-    # a reused buffer, holding another call's block, gets the same bytes
-    out = np.full((len(points), 2 * l_space), np.nan)
-    assert enc.encode_space(points[:, :3], out=out) is out
-    assert out.tobytes() == parts[:, :2 * l_space].tobytes()
 
 
 def test_encode_time_rejects_non_finite_input():

@@ -935,20 +935,34 @@ class TestReconstruct:
         assert peak <= outputs + terms + bufs + encoding + 4 * param_bytes
 
     @staticmethod
-    def _count_space_terms(monkeypatch):
-        space_terms, calls = InrModel.space_terms, []
+    def _count_calls(monkeypatch, name="space_terms"):
+        """The models whose InrModel method `name` was called, one per call."""
+        method, calls = getattr(InrModel, name), []
 
         def counted(self, *args):
-            calls.append(args)
-            return space_terms(self, *args)
+            calls.append(self)
+            return method(self, *args)
 
-        monkeypatch.setattr(InrModel, "space_terms", counted)
+        monkeypatch.setattr(InrModel, name, counted)
         return calls
+
+    def test_forms_terms_once_per_chunk_and_model_and_time(self, monkeypatch):
+        # Split form: 210 voxels in chunks of 64 are 4 chunks, and each
+        # model forms its spatial terms once per chunk for all 3 times, its
+        # time terms once per time for all chunks, and folds once.
+        series = _constant_series()
+        models = [make_model(series, l_space=6, l_time=3, hidden_width=10, n_layers=5,
+                             skip_layers=(4,), seed=seed) for seed in (1, 2)]
+        calls = {name: self._count_calls(monkeypatch, name)
+                 for name in ("space_terms", "time_terms", "fold")}
+        reconstruct(*models, (7, 6, 5), series.spacing, [0.0, 1.25, 2.5], chunk=64)
+        assert {name: [seen.count(m) for m in models] for name, seen in calls.items()} == {
+            "space_terms": [4, 4], "time_terms": [3, 3], "fold": [1, 1]}
 
     @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0]])
     def test_unordered_times_rejected_before_any_work(self, monkeypatch, times):
         series, m1, m2 = self._trained_pair()
-        calls = self._count_space_terms(monkeypatch)
+        calls = self._count_calls(monkeypatch)
         with pytest.raises(ValueError, match="strictly increasing"):
             reconstruct(m1, m2, series.dims, series.spacing, times)
         assert calls == []
@@ -956,7 +970,7 @@ class TestReconstruct:
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_non_positive_chunk_rejected_before_any_work(self, monkeypatch, chunk):
         series, m1, m2 = self._trained_pair()
-        calls = self._count_space_terms(monkeypatch)
+        calls = self._count_calls(monkeypatch)
         with pytest.raises(ValueError, match="chunk must be a positive integer"):
             reconstruct(m1, m2, series.dims, series.spacing, [0.0], chunk=chunk)
         assert calls == []

@@ -480,6 +480,49 @@ class TestSeries:
             write_manifest([(tmp_path / name, 21.0)], tmp_path / "series.tsv")
 
 
+_MANIFEST_NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+_MANIFEST_LINES = st.builds(
+    lambda name, t: f"{name}\t{t!r}".encode(), _MANIFEST_NAMES,
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _mutated(draw, lines):
+    """One line from `lines` with a few bytes overwritten, inserted or deleted."""
+    line = bytearray(draw(lines))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(line)))
+        op = draw(st.sampled_from("set insert delete"))
+        byte = draw(st.integers(0, 255))
+        if op == "insert" or at == len(line):
+            line.insert(at, byte)
+        elif op == "set":
+            line[at] = byte
+        else:
+            del line[at]
+    return bytes(line)
+
+
+class TestManifestProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.one_of(_MANIFEST_LINES, st.binary(max_size=12),
+                                    _mutated(_MANIFEST_LINES)), max_size=6),
+           newline=st.sampled_from([b"\n", b"\r\n"]))
+    def test_entries_or_error_naming_the_manifest(self, tmp_path_factory, lines, newline):
+        # Any bytes give entries with finite times, or a ValueError that names
+        # the manifest; never another error type or an unnamed one.
+        mp = tmp_path_factory.mktemp("manifest") / "series.tsv"
+        mp.write_bytes(newline.join(lines))
+        try:
+            entries = read_manifest(mp)
+        except ValueError as exc:
+            assert str(mp) in str(exc)
+            return
+        for path, t in entries:
+            assert isinstance(t, float) and math.isfinite(t)
+            assert "\0" not in str(path)
+
+
 class TestNormalization:
     def _series(self, arrays, times=None):
         vols = [Volume3D(a.shape, (1, 1, 1), a) for a in arrays]
