@@ -17,9 +17,12 @@ memory) before the other side starts its next step. The thread cap is set
 on that path too whenever it can be, so a side computes the same bits on
 either path.
 
-The child is forked, not spawned: it starts from the caller's loaded
-modules and data, where a spawned worker would import atlas4d again
-(0.30-0.44 s measured on a 2-core box), more than a short run saves.
+The child is a `multiprocessing` process of the fork context, which
+starts, reaps and if need be kills it. It is forked, not spawned: it
+starts from the caller's loaded modules and data, sides included, where a
+spawned worker would import atlas4d again (0.30-0.44 s measured on a
+2-core box), more than a short run saves, and could not be sent a
+generator.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import ctypes
 import functools
 import multiprocessing
 import os
-import signal
 
 
 @functools.cache
@@ -57,25 +59,6 @@ def blas_thread_count_fns():
     return None
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Cap OpenBLAS at one thread for the block; yield whether the cap is set.
-
-    The previous thread count is restored on every exit.
-    """
-    fns = blas_thread_count_fns()
-    if fns is None:
-        yield False
-        return
-    get, put = fns
-    before = get()
-    put(1)
-    try:
-        yield True
-    finally:
-        put(before)
-
-
 def _can_fork() -> bool:
     """Whether this platform forks and this process may run on two cores."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -88,12 +71,21 @@ def run_pair(side1, side2, name2: str):
     See the module docstring for the paths. An exception in either side
     reaches the caller with its type and message; if the child ends without
     replying, a RuntimeError names `name2` (what side 2 works on) and the
-    child's exit status. No child outlives the call, whatever it raises.
+    child's exit status. No child outlives the call, whatever it raises,
+    and OpenBLAS's thread count is restored on every exit.
     """
-    with one_blas_thread() as capped:
-        if capped and _can_fork():
+    fns = blas_thread_count_fns()
+    if fns is None:
+        return _lockstep(side1, side2)
+    get, put = fns
+    before = get()
+    put(1)
+    try:
+        if _can_fork():
             return _forked(side1, side2, name2)
         return _lockstep(side1, side2)
+    finally:
+        put(before)
 
 
 def _advance(side, message):
@@ -120,21 +112,19 @@ def _forked(side1, side2, name2: str):
     Per step the parent sends its message first and the child receives
     first, so neither blocks on a full pipe while the other also sends.
     """
-    conn, child_conn = multiprocessing.Pipe()
-    pid = os.fork()
-    if pid == 0:
-        _serve(side2, child_conn, conn)  # ends the child process
+    fork = multiprocessing.get_context("fork")
+    conn, child_conn = fork.Pipe()
+    child = fork.Process(target=_serve, args=(side2, child_conn, conn))
+    child.start()
     child_conn.close()
-    status = None  # the child's exit status, once reaped
 
     def reply(tag: str):
-        nonlocal status
         try:
             got, value = conn.recv()
         except (EOFError, ConnectionResetError):  # reset: it died with our message unread
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child.join()
             raise RuntimeError(f"the process working on {name2} ended without replying "
-                               f"(exit status {status})") from None
+                               f"(exit status {child.exitcode})") from None
         if got == "error":
             raise value
         if got != tag:
@@ -155,22 +145,19 @@ def _forked(side1, side2, name2: str):
         return result
     finally:
         conn.close()
-        if status is None:
-            if not done:  # the child may be mid-step: stop it now
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if not done:  # the child may be mid-step: stop it now
+            child.kill()
+        child.join()
+        child.close()
 
 
 def _serve(side, conn, parent_end) -> None:
-    """Run side 2 in the forked child, then end the process; never returns.
+    """Run side 2 in the forked child and send its result to the parent.
 
-    An exception is sent to the parent; one that cannot be pickled is sent
-    as a RuntimeError carrying its type name and message. The child ends
-    with os._exit on every path, so it never runs the caller's code (or
-    its exit handlers) after the fork.
+    An exception is sent to the parent instead, then ends the child with
+    exit status 1; one that cannot be pickled is sent as a RuntimeError
+    carrying its type name and message.
     """
-    code = 1
     try:
         parent_end.close()
         finished, out = _advance(side, None)
@@ -181,12 +168,10 @@ def _serve(side, conn, parent_end) -> None:
                 out = message
             finished, out = _advance(side, out)
         conn.send(("done", out))
-        code = 0
     except BaseException as exc:  # Ctrl-C included: the parent re-raises it
         with contextlib.suppress(BaseException):
             try:
                 conn.send(("error", exc))
             except Exception:
                 conn.send(("error", RuntimeError(f"{type(exc).__name__}: {exc}")))
-    finally:
-        os._exit(code)
+        raise SystemExit(1) from None

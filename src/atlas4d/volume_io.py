@@ -69,11 +69,6 @@ class Volume3D:
         self.data = np.asarray(self.data, dtype=np.float64)
         _init_grid(self)
 
-    @property
-    def n_voxels(self) -> int:
-        nx, ny, nz = self.dims
-        return nx * ny * nz
-
     def flat(self) -> np.ndarray:
         """Voxel values in disk order (x fastest, z slowest)."""
         return self.data.ravel(order="F")

@@ -763,7 +763,7 @@ class TestReconstruct:
         series, m1, m2 = self._trained_pair()
         dims2 = tuple(2 * d for d in series.dims)
         out = reconstruct(m1, m2, dims2, series.spacing, [0.0, 3.0])
-        assert out.volumes[0].n_voxels == 8 * series.volumes[0].n_voxels
+        assert out.volumes[0].data.size == 8 * series.volumes[0].data.size
 
     @pytest.mark.parametrize("arch2", [(5, (4,)), (5, (1, 3)), (6, (4,))],
                              ids=["one-layout", "other-skips", "other-depth"])
