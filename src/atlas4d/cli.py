@@ -30,7 +30,7 @@ import numpy as np
 
 from . import metrics as met
 from . import phantom as ph
-from .encoding import FourierEncoder
+from .encoding import FourierEncoder, encoded_width
 from .network import CheckpointError, InrModel, MlpConfig, load_checkpoint, save_checkpoint
 from .optimizer import LrSchedule, lr_at
 from .training import (
@@ -73,6 +73,19 @@ def _parse_int_tuple(s: str) -> tuple[int, ...]:
 
 def _parse_float_list(s: str) -> list[float]:
     return [float(p) for p in _split_items(s)]
+
+
+def _positive_float(s: str) -> float:
+    value = float(s)
+    if not value > 0:
+        raise ValueError(f"{s!r} is not positive")
+    return value
+
+
+def _stage(s: str) -> str:
+    if s not in ("refined", "pretrained"):
+        raise ValueError(f"must be refined or pretrained, got {s!r}")
+    return s
 
 
 # Defaults come from the objects that own them, so each is defined once.
@@ -122,78 +135,27 @@ _SCHEMA = {
     "train.seed_model2": (int, _TRAIN.seed_model2),
     "train.seed_sampling": (int, _TRAIN.seed_sampling),
     "infer.times": (_parse_float_list, []),
-    "infer.scale": (float, 1.0),
-    "infer.stage": (str, "refined"),
+    "infer.scale": (_positive_float, 1.0),
+    "infer.stage": (_stage, "refined"),
     "eval.recon_manifest": (Path, None),
     "eval.reference_manifest": (Path, None),
     "eval.label_threshold": (float, 0.75),
 }
 
 
-def load_config(path, overrides=()) -> dict:
-    """Parse and validate the config file plus `key=value` overrides.
-
-    Returns a plain dict with one entry per _SCHEMA key. The path keys
-    (run_dir, data.manifest, data.mask, eval.recon_manifest and
-    eval.reference_manifest) hold Paths resolved against the config file's
-    directory, or None when unset or empty. A config without run_dir fails
-    here, before any command starts work, and so do a file that is not
-    UTF-8 text and a key set on two lines of the file (the error names
-    both). Overrides win over the file, and among overrides the last one
-    for a key wins.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    raw: dict[str, str] = {}
-    set_on: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key in set_on:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key} "
-                              f"(first set on line {set_on[key]})")
-        set_on[key] = lineno
-        raw[key] = val
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, val = (part.strip() for part in item.split("=", 1))
-        raw[key] = val
-
-    unknown = sorted(set(raw) - set(_SCHEMA))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    base_dir = path.parent.resolve()
-    values = {}
-    for key, (cast, default) in _SCHEMA.items():
-        if key not in raw:
-            values[key] = default
-        elif cast is Path:
-            values[key] = base_dir / raw[key] if raw[key] else None
-        else:
-            try:
-                values[key] = cast(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {exc}")
-            if cast in (float, _parse_float_list) and not np.all(np.isfinite(values[key])):
-                raise ConfigError(f"bad value for {key}: {raw[key]!r} is not finite")
-    if values["run_dir"] is None:
-        raise ConfigError("run_dir is required")
-    return values
-
-
-def _write_artifacts(run_dir: Path, command: str, paths: list[Path]) -> None:
-    lines = [str(p.relative_to(run_dir)) for p in paths]
-    write_atomic(run_dir / f"artifacts_{command}.txt", "\n".join(lines) + "\n")
+def _phantom_config(cfg: dict) -> ph.PhantomConfig:
+    return ph.PhantomConfig(
+        dims=cfg["phantom.dims"],
+        n_times=cfg["phantom.n_times"],
+        time_start=cfg["phantom.time_start"],
+        time_end=cfg["phantom.time_end"],
+        outer_radius=(cfg["phantom.outer_r0"], cfg["phantom.outer_slope"]),
+        inner_radius=(cfg["phantom.inner_r0"], cfg["phantom.inner_slope"]),
+        edge_width=cfg["phantom.edge_width"],
+        structural_jitter_sigma=cfg["phantom.jitter_sigma"],
+        intensity_noise_sigma=cfg["phantom.noise_sigma"],
+        seed=cfg["phantom.seed"],
+    )
 
 
 def _train_config(cfg: dict, mask=None) -> TrainConfig:
@@ -212,6 +174,126 @@ def _train_config(cfg: dict, mask=None) -> TrainConfig:
         seed_sampling=cfg["train.seed_sampling"],
         mask=mask,
     )
+
+
+def _arch(cfg: dict) -> dict:
+    """make_model's architecture kwargs: the encoder.* and mlp.* keys."""
+    return {key.split(".", 1)[1]: value for key, value in cfg.items()
+            if key.startswith(("encoder.", "mlp."))}
+
+
+def _check_arch(cfg: dict) -> None:
+    """Check what make_model would build, without drawing the encoder."""
+    arch = _arch(cfg)
+    MlpConfig(input_dim=encoded_width(arch.pop("l_space"), arch.pop("l_time")), **arch)
+
+
+# Config objects check their own values. load_config builds each from the
+# keys under its prefixes, so a value one rejects fails at load, not in a command.
+_CHECKED = ((("phantom.",), _phantom_config), (("train.",), _train_config),
+            (("encoder.", "mlp."), _check_arch))
+
+
+def _rejection(build, cfg: dict) -> str | None:
+    """The message of the ValueError that build(cfg) raises, or None."""
+    try:
+        build(cfg)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _located(path: Path, line_of: dict, keys: list[str]) -> tuple[str, str]:
+    """(where, names) for an error about keys: `path:line` or `path --set`
+    and the key for one key; the path and each key's line or --set for several."""
+    if len(keys) == 1:
+        line = line_of[keys[0]]
+        return (f"{path}:{line}" if line else f"{path} --set"), keys[0]
+    return str(path), ", ".join(f"{k} (line {line_of[k]})" if line_of[k] else f"{k} (--set)"
+                                for k in keys)
+
+
+def load_config(path, overrides=()) -> dict:
+    """Parse and validate the config file plus `key=value` overrides.
+
+    Returns a plain dict with one entry per _SCHEMA key. The path keys
+    (run_dir, data.manifest, data.mask, eval.recon_manifest and
+    eval.reference_manifest) hold Paths resolved against the config file's
+    directory, or None when unset or empty. A config without run_dir fails
+    here, before any command starts work, and so do a file that is not
+    UTF-8 text, a key set on two lines of the file and a value that a
+    config object rejects; the error names the file, the key and its line,
+    or --set for an override. Overrides win over the file, and among
+    overrides the last one for a key wins.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    raw: dict[str, str] = {}
+    line_of: dict[str, int | None] = {}  # None: set by --set
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key} "
+                              f"(first set on line {line_of[key]})")
+        raw[key], line_of[key] = val, lineno
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"{path} --set: override must be key=value, got {item!r}")
+        key, val = (part.strip() for part in item.split("=", 1))
+        raw[key], line_of[key] = val, None
+
+    unknown = [key for key in raw if key not in _SCHEMA]
+    if unknown:
+        where, names = _located(path, line_of, unknown)
+        raise ConfigError(f"{where}: unknown config keys: {names}")
+    base_dir = path.parent.resolve()
+    values = {}
+    for key, (cast, default) in _SCHEMA.items():
+        if key not in raw:
+            values[key] = default
+            continue
+        try:
+            if cast is Path:
+                if "\0" in raw[key]:
+                    raise ValueError("a path cannot hold a NUL byte")
+                values[key] = base_dir / raw[key] if raw[key] else None
+            else:
+                values[key] = cast(raw[key])
+                if (cast in (float, _positive_float, _parse_float_list)
+                        and not np.all(np.isfinite(values[key]))):
+                    raise ValueError(f"{raw[key]!r} is not finite")
+        except ValueError as exc:
+            where, _ = _located(path, line_of, [key])
+            raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
+    if values["run_dir"] is None:
+        raise ConfigError(f"{path}: run_dir is required")
+    for prefixes, build in _CHECKED:
+        rejection = _rejection(build, values)
+        if rejection is None:
+            continue
+        # Every default passes, so the fault lies in keys set: name each whose
+        # default alone changes the rejection, or else all set here.
+        keys = [key for key in _SCHEMA if key in raw and key.startswith(prefixes)]
+        keys = [key for key in keys
+                if _rejection(build, {**values, key: _SCHEMA[key][1]}) != rejection] or keys
+        where, names = _located(path, line_of, keys)
+        raise ConfigError(f"{where}: bad value for {names}: {rejection}")
+    return values
+
+
+def _write_artifacts(run_dir: Path, command: str, paths: list[Path]) -> None:
+    lines = [str(p.relative_to(run_dir)) for p in paths]
+    write_atomic(run_dir / f"artifacts_{command}.txt", "\n".join(lines) + "\n")
 
 
 def _load_training_series(cfg: dict):
@@ -293,18 +375,7 @@ def _loss_log(path: Path, header: str, rows) -> None:
 
 
 def cmd_phantom(cfg: dict) -> None:
-    pcfg = ph.PhantomConfig(
-        dims=cfg["phantom.dims"],
-        n_times=cfg["phantom.n_times"],
-        time_start=cfg["phantom.time_start"],
-        time_end=cfg["phantom.time_end"],
-        outer_radius=(cfg["phantom.outer_r0"], cfg["phantom.outer_slope"]),
-        inner_radius=(cfg["phantom.inner_r0"], cfg["phantom.inner_slope"]),
-        edge_width=cfg["phantom.edge_width"],
-        structural_jitter_sigma=cfg["phantom.jitter_sigma"],
-        intensity_noise_sigma=cfg["phantom.noise_sigma"],
-        seed=cfg["phantom.seed"],
-    )
+    pcfg = _phantom_config(cfg)
     out = cfg["run_dir"] / "phantom"
     produced = _write_series(out, ("clean", "noisy", "labels"), pcfg.times(),
                              ph.frames(pcfg))
@@ -316,13 +387,10 @@ def cmd_pretrain(cfg: dict) -> None:
     series, mask = _load_training_series(cfg)
     tcfg = _train_config(cfg, mask)
     split = split_timepoints(series.times)
-    # encoder.* and mlp.* keys are make_model's architecture kwargs.
-    arch = {key.split(".", 1)[1]: value for key, value in cfg.items()
-            if key.startswith(("encoder.", "mlp."))}
 
     run_dir = cfg["run_dir"]
     run_dir.mkdir(parents=True, exist_ok=True)
-    models = [make_model(series, seed=seed, **arch)
+    models = [make_model(series, seed=seed, **_arch(cfg))
               for seed in (tcfg.seed_model1, tcfg.seed_model2)]
     fits = pretrain_pair(series, split, tcfg, *models)
     produced = []
@@ -384,8 +452,6 @@ def cmd_refine(cfg: dict) -> None:
 def cmd_infer(cfg: dict) -> None:
     run_dir = cfg["run_dir"]
     stage = cfg["infer.stage"]
-    if stage not in ("refined", "pretrained"):
-        raise ConfigError(f"infer.stage must be refined or pretrained, got {stage!r}")
     m1, m2 = _load_pair(run_dir, stage)
 
     meta = m1.meta
@@ -397,8 +463,6 @@ def cmd_infer(cfg: dict) -> None:
     if not times:
         raise ConfigError("no inference times: set infer.times")
     scale = cfg["infer.scale"]
-    if scale <= 0:
-        raise ConfigError("infer.scale must be positive")
     t_range = meta.get("time_range")
     outside = [t for t in times if t_range and not t_range[0] <= t <= t_range[1]]
     if outside:

@@ -15,8 +15,7 @@ class FourierEncoder:
     """Fixed random projection onto 2*(L_s + L_t) Fourier features."""
 
     def __init__(self, l_space: int = 128, l_time: int = 32, seed: int = 0):
-        if l_space < 1 or l_time < 1:
-            raise ValueError("feature counts must be >= 1")
+        encoded_width(l_space, l_time)
         rng = np.random.default_rng(seed)
         self.l_space = int(l_space)
         self.l_time = int(l_time)
@@ -39,7 +38,7 @@ class FourierEncoder:
 
     @property
     def out_dim(self) -> int:
-        return 2 * (self.l_space + self.l_time)
+        return encoded_width(self.l_space, self.l_time)
 
     def same_dims(self, other: "FourierEncoder") -> bool:
         return self.l_space == other.l_space and self.l_time == other.l_time
@@ -78,6 +77,14 @@ class FourierEncoder:
         if not np.all(np.isfinite(t)):
             raise ValueError("non-finite coordinate input")
         return np.concatenate(_cos_sin(t, self.b_time), axis=1)
+
+
+def encoded_width(l_space: int, l_time: int) -> int:
+    """2 * (l_space + l_time), the width of an encoder's output; raises
+    ValueError unless both are >= 1. Draws nothing, unlike an encoder."""
+    if l_space < 1 or l_time < 1:
+        raise ValueError("feature counts must be >= 1")
+    return 2 * (l_space + l_time)
 
 
 def _cos_sin(x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

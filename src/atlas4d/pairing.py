@@ -17,12 +17,11 @@ memory) before the other side starts its next step. The thread cap is set
 on that path too whenever it can be, so a side computes the same bits on
 either path.
 
-The child is a `multiprocessing` process of the fork context, which
-starts, reaps and if need be kills it. It is forked, not spawned: it
-starts from the caller's loaded modules and data, sides included, where a
-spawned worker would import atlas4d again (0.30-0.44 s measured on a
-2-core box), more than a short run saves, and could not be sent a
-generator.
+The child is a fork-context `multiprocessing` process. Forked, it starts
+from the caller's loaded modules and data, sides included, and it ends
+with os._exit, so it never runs the caller's exit handlers. A spawned
+worker would import atlas4d again (0.30-0.44 s measured on a 2-core box),
+more than a short run saves, and could not be handed a generator.
 """
 
 from __future__ import annotations
@@ -152,11 +151,10 @@ def _forked(side1, side2, name2: str):
 
 
 def _serve(side, conn, parent_end) -> None:
-    """Run side 2 in the forked child and send its result to the parent.
+    """Run side 2 in the forked child and send the parent its result.
 
-    An exception is sent to the parent instead, then ends the child with
-    exit status 1; one that cannot be pickled is sent as a RuntimeError
-    carrying its type name and message.
+    An exception is sent instead, as a RuntimeError with its type name and
+    message if it cannot be pickled, and the child then exits with status 1.
     """
     try:
         parent_end.close()

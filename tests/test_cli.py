@@ -7,6 +7,7 @@ import shutil
 import struct
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +139,8 @@ class TestConfigParsing:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("run_dir = out\n")
         assert _run("phantom", "--config", str(cfg), "--set", item) == 1
-        assert f"error: dims must be three positive integers, got {value}" in capsys.readouterr().err
+        assert (f"error: {cfg} --set: bad value for phantom.dims: dims must be three "
+                f"positive integers, got {value}") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("item", [
@@ -149,13 +151,52 @@ class TestConfigParsing:
         key, text = item.split("=")
         cfg = tmp_path / "c.cfg"
         cfg.write_text("run_dir = out\n")
-        message = f"bad value for {key}: empty item in {text!r}"
+        message = f"{cfg} --set: bad value for {key}: empty item in {text!r}"
         with pytest.raises(ConfigError) as info:
             load_config(cfg, overrides=[item])
         assert str(info.value) == message
         assert _run("phantom", "--config", str(cfg), "--set", item) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, sets, message", [
+        ("run_dir = r\0n\n", (), "{cfg}:1: bad value for run_dir: a path cannot hold a NUL byte"),
+        ("run_dir = out\nphantom.n_times = x\n", (),
+         "{cfg}:2: bad value for phantom.n_times: invalid literal for int() with base 10: 'x'"),
+        ("run_dir = out\nfoo = 1\n", (), "{cfg}:2: unknown config keys: foo"),
+        ("run_dir = out\ntrain.pretrain_lr = 1e-3\ntrain.refine_lr = 1e-3\n",
+         ("--set", "train.refine_lr=-1"),
+         "{cfg} --set: bad value for train.refine_lr: base_lr must be positive"),
+        ("run_dir = out\ntrain.patience = 3\ntrain.batch_size = 1\n", (),
+         "{cfg}:3: bad value for train.batch_size: batch_size must be >= 2"),
+        ("run_dir = out\nmlp.n_layers = 6\n", ("--set", "mlp.skip_layers=9"),
+         "{cfg}: bad value for mlp.n_layers (line 2), mlp.skip_layers (--set): "
+         "skip layer 9 outside [1, 6)"),
+        ("run_dir = out\nencoder.l_space = 0\n", (),
+         "{cfg}:2: bad value for encoder.l_space: feature counts must be >= 1"),
+        ("run_dir = out\n", ("--set", "mlp.bn_momentum=0"),
+         "{cfg} --set: bad value for mlp.bn_momentum: bn_momentum must be in (0, 1]"),
+        ("run_dir = out\nphantom.edge_width = 0\n", (),
+         "{cfg}:2: bad value for phantom.edge_width: edge_width must be positive"),
+        # Neither key alone makes the range empty, so every phantom key set is named.
+        ("run_dir = out\nphantom.time_start = 30\nphantom.time_end = 21\n", (),
+         "{cfg}: bad value for phantom.time_start (line 2), phantom.time_end (line 3): "
+         "time_end must exceed time_start"),
+    ], ids=["nul-path", "not-an-int", "unknown-key", "refine-lr", "batch-size", "skip-layer",
+            "l-space", "bn-momentum", "edge-width", "time-range"])
+    def test_value_error_names_the_file_and_key(self, tmp_path, capsys, text, sets, message):
+        # pretrain would read the training series next, and there is none:
+        # the error shows that the config was rejected first.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert _run("pretrain", "--config", str(cfg), *sets) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message.format(cfg=cfg)}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_feature_counts_are_checked_without_drawing_the_encoder(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"run_dir = out\nencoder.l_space = {10**15}\n")
+        assert load_config(cfg)["encoder.l_space"] == 10**15
 
     def test_empty_list_value_keeps_its_meaning(self, tmp_path):
         # An empty infer.times means the training times, an empty
@@ -171,7 +212,8 @@ class TestConfigParsing:
         cfg = _write_config(tmp_path)
         assert _run("phantom", "--config", str(cfg)) == 0
         assert _run("pretrain", "--config", str(cfg), "--set", "mlp.skip_layers=3,3") == 1
-        assert "error: skip_layers repeats a layer: (3, 3)" in capsys.readouterr().err
+        assert (f"error: {cfg} --set: bad value for mlp.skip_layers: skip_layers repeats "
+                "a layer: (3, 3)") in capsys.readouterr().err
         assert not list((tmp_path / "run").glob("*.ckpt"))
 
     def test_missing_config_file(self, tmp_path):
@@ -222,7 +264,7 @@ class TestConfigParsing:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY.replace("run_dir = {run_dir}\n", run_dir_line))
         assert _run("phantom", "--config", str(cfg)) == 1
-        assert "error: run_dir is required" in capsys.readouterr().err
+        assert f"error: {cfg}: run_dir is required" in capsys.readouterr().err
         assert calls == []
 
     def test_paths_resolved_at_load(self, tmp_path):
@@ -244,6 +286,49 @@ class TestConfigParsing:
         assert parsed["encoder.l_space"] == 128
         assert parsed["mlp.n_layers"] == 18
         assert parsed["mlp.skip_layers"] == (6, 12)
+
+
+# Config values: printable text, a NUL, non-finite and huge numbers, an
+# empty value and comma lists. Path keys get names in the config's directory.
+_CONFIG_VALUES = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8),
+    st.sampled_from(["", "\0", "1\0", "nan", "inf", "-inf", "1e400", "9" * 5000]),
+    st.integers(-10**30, 10**30).map(str),
+    st.lists(st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["", "nan", "x"])),
+             min_size=2, max_size=4).map(",".join))
+_PATH_VALUES = st.one_of(st.just(""), st.text("ab_.\0", max_size=6).map("p".__add__))
+
+
+@st.composite
+def _config_entries(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(cli._SCHEMA)), unique=True, max_size=6))
+    return {"run_dir": "run", **{key: draw(_PATH_VALUES if cli._SCHEMA[key][0] is Path
+                                           else _CONFIG_VALUES) for key in keys}}
+
+
+class TestConfigProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(entries=_config_entries())
+    @example(entries={"run_dir": "r\0n"})
+    @example(entries={"run_dir": "run", "phantom.n_times": "x"})
+    @example(entries={"run_dir": "run", "foo": "1"})
+    @example(entries={"run_dir": "run", "encoder.l_space": str(10**30)})
+    def test_config_loads_or_fails_naming_the_file(self, tmp_path_factory, entries):
+        cfg = tmp_path_factory.mktemp("config") / "c.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+        try:
+            valid = isinstance(load_config(cfg), dict)
+        except ConfigError as exc:
+            valid = False
+            assert str(cfg) in str(exc)
+        # eval reads nothing before the reconstruction manifest, which is
+        # missing: a valid config stops there.
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert _run("eval", "--config", str(cfg)) == 1
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+        assert line.startswith("error: reconstruction manifest not found") == valid
 
 
 class TestStageOrder:
@@ -376,16 +461,18 @@ class TestStageOrder:
         assert not (run / "recon").exists()
 
     @pytest.mark.parametrize("args, message", [
-        (("--set", "infer.stage=best"), "infer.stage must be refined or pretrained, got 'best'"),
+        (("--set", "infer.stage=best"),
+         "{cfg} --set: bad value for infer.stage: must be refined or pretrained, got 'best'"),
         ((), "no inference times: set infer.times"),
-        (("--times", "22", "--scale", "0"), "infer.scale must be positive"),
+        (("--times", "22", "--scale", "0"), "{cfg} --set: bad value for infer.scale: '0' is not "
+                                            "positive"),
     ], ids=["stage", "no-times", "scale"])
     def test_infer_rejected(self, tmp_path, capsys, args, message):
         # The checkpoints record no times, so infer.times must name them.
         cfg = _write_config(tmp_path)
         self._refined_pair(tmp_path / "run", {"time_range": [21.0, 26.0], "dims": [4, 4, 4]})
         assert _run("infer", "--config", str(cfg), *args) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(cfg=cfg)}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "recon").exists()
 
     def test_eval_before_infer(self, tmp_path):

@@ -68,6 +68,14 @@ def _header_float(default):
                                       3.4028234663852886e38, -3.4028234663852886e38]))
 
 
+def _header_int(default, bits, *usual):
+    """A signed integer header field of `bits` bits: its usual value, one
+    of `usual` (other codes, byte-swapped values), or any value."""
+    lo = -(1 << (bits - 1))
+    return st.one_of(st.just(default), st.sampled_from([*usual, 0, -1, lo, -lo - 1]),
+                     st.integers(lo, -lo - 1))
+
+
 class TestNifti:
     def test_round_trip_identity(self, tmp_path):
         vol = _vol()
@@ -188,6 +196,26 @@ class TestNifti:
             assert str(p) in str(exc)
         else:
             assert isinstance(vol, Volume3D)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizeof_hdr=_header_int(348, 32, 0x5C010000),
+           dim=st.tuples(*[_header_int(d, 16, 0x300, 0x200) for d in (3, 2, 2, 2, 1, 1, 1, 1)]),
+           datatype=_header_int(64, 16, 2, 4, 16), bitpix=_header_int(64, 16, 8, 16, 32))
+    def test_header_integers_read_or_fail_naming_the_file(self, tmp_path_factory, sizeof_hdr,
+                                                          dim, datatype, bitpix):
+        blob = bytearray(_raw_nifti())
+        struct.pack_into("<i", blob, 0, sizeof_hdr)
+        struct.pack_into("<8h", blob, 40, *dim)
+        struct.pack_into("<2h", blob, 70, datatype, bitpix)
+        p = tmp_path_factory.mktemp("header") / "h.nii"
+        p.write_bytes(bytes(blob))
+        try:
+            vol = read_nifti(p)
+        except NiftiError as exc:
+            assert str(p) in str(exc)
+        else:
+            assert isinstance(vol, Volume3D)
+            assert vol.dims == tuple(dim[1:4])
 
     def test_bad_header_size(self, tmp_path):
         blob = bytearray(_raw_nifti())
