@@ -178,7 +178,7 @@ class TestConfigParsing:
          "{cfg} --set: bad value for mlp.bn_momentum: bn_momentum must be in (0, 1]"),
         ("run_dir = out\nphantom.edge_width = 0\n", (),
          "{cfg}:2: bad value for phantom.edge_width: edge_width must be positive"),
-        # Neither key alone makes the range empty, so every phantom key set is named.
+        # Either key reset alone leaves the range empty: every phantom key set is named.
         ("run_dir = out\nphantom.time_start = 30\nphantom.time_end = 21\n", (),
          "{cfg}: bad value for phantom.time_start (line 2), phantom.time_end (line 3): "
          "time_end must exceed time_start"),
